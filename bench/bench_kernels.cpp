@@ -162,7 +162,7 @@ void bm_gemm_a_bt_masked(benchmark::State& state, dense::KernelPolicy policy,
 
 void register_policy_benchmarks() {
   for (const auto policy : kSpmmPolicies) {
-    const std::string tag = dense::kernel_policy_name(policy);
+    const std::string tag = util::mode_name(policy);
     for (const std::int64_t d : kFeatureSweep) {
       for (const std::int64_t n : {4096, 16384}) {
         benchmark::RegisterBenchmark(
@@ -185,7 +185,7 @@ void register_policy_benchmarks() {
         bm_spmm_amortized, 16384, d);
   }
   for (const auto policy : kPolicies) {
-    const std::string tag = dense::kernel_policy_name(policy);
+    const std::string tag = util::mode_name(policy);
     for (const std::int64_t d : kFeatureSweep) {
       benchmark::RegisterBenchmark(
           ("Gemm/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(), bm_gemm,

@@ -112,26 +112,26 @@ int main(int argc, char** argv) {
       if (r.oom) {
         table.add_row({sc.machine, std::to_string(sc.gpus),
                        std::to_string(sc.n), std::to_string(sc.avg_degree),
-                       std::to_string(sc.d), core::plan_mode_name(mode),
+                       std::to_string(sc.d), util::mode_name(mode),
                        "OOM", "-", "-", "-"});
         json_rows << "    {\"machine\": \"" << sc.machine
                   << "\", \"gpus\": " << sc.gpus << ", \"n\": " << sc.n
                   << ", \"avg_degree\": " << sc.avg_degree
                   << ", \"d\": " << sc.d << ", \"plan\": \""
-                  << core::plan_mode_name(mode) << "\", \"oom\": true}";
+                  << util::mode_name(mode) << "\", \"oom\": true}";
         continue;
       }
       const double vs_1d = r.seconds > 0.0 ? seconds_1d / r.seconds : 0.0;
       table.add_row({sc.machine, std::to_string(sc.gpus),
                      std::to_string(sc.n), std::to_string(sc.avg_degree),
-                     std::to_string(sc.d), core::plan_mode_name(mode),
+                     std::to_string(sc.d), util::mode_name(mode),
                      util::format_double(r.seconds, 4), products,
                      std::to_string(r.plan_fallbacks),
                      util::format_speedup(vs_1d)});
       json_rows << "    {\"machine\": \"" << sc.machine
                 << "\", \"gpus\": " << sc.gpus << ", \"n\": " << sc.n
                 << ", \"avg_degree\": " << sc.avg_degree << ", \"d\": "
-                << sc.d << ", \"plan\": \"" << core::plan_mode_name(mode)
+                << sc.d << ", \"plan\": \"" << util::mode_name(mode)
                 << "\", \"oom\": false, \"epoch_seconds\": " << r.seconds
                 << ", " << bench::plan_json_fragment(r) << "}";
     }

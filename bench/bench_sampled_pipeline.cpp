@@ -64,7 +64,7 @@ RunResult run_config(const graph::Dataset& ds,
   result.wire_bytes = static_cast<std::uint64_t>(
       static_cast<double>(stats.comm_wire_bytes) * x);
   result.occupancy = stats.pipe_occupancy;
-  result.resolved_mode = core::cache_mode_name(pipeline.resolved_cache_mode());
+  result.resolved_mode = util::mode_name(pipeline.resolved_cache_mode());
   result.stats = stats;
   return result;
 }
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
             {"pipelined", true, core::CacheMode::kFreq, std::stod(cap)});
       }
       configs.push_back({"pipelined", true, core::CacheMode::kAuto,
-                         core::cache_capacity_fraction()});
+                         base.cache_capacity_fraction});
 
       double serial_seconds = 0.0;
       for (const Config& config : configs) {
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
 
         table.add_row(
             {ds.spec.name, std::to_string(gpus), config.engine,
-             core::cache_mode_name(config.mode),
+             util::mode_name(config.mode),
              util::format_double(config.fraction, 3),
              util::format_double(r.seconds, 4),
              serial_seconds > 0
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
         json_rows << "    {\"dataset\": \"" << ds.spec.name
                   << "\", \"gpus\": " << gpus << ", \"engine\": \""
                   << config.engine << "\", \"cache_mode\": \""
-                  << core::cache_mode_name(config.mode)
+                  << util::mode_name(config.mode)
                   << "\", \"resolved_mode\": \"" << r.resolved_mode
                   << "\", \"capacity_fraction\": " << config.fraction
                   << ", \"fanout\": \"" << cli.get("fanout")

@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
 
               table.add_row(
                   {ds.spec.name, std::to_string(gpus), load, skew,
-                   core::batch_policy_name(policy),
-                   core::serve_cache_mode_name(cache),
+                   util::mode_name(policy),
+                   util::mode_name(cache),
                    util::format_double(stats.serve_qps, 0),
                    util::format_double(stats.serve_p50_latency * 1e6, 1),
                    util::format_double(stats.serve_p99_latency * 1e6, 1),
@@ -123,10 +123,10 @@ int main(int argc, char** argv) {
                   << "    {\"dataset\": \"" << ds.spec.name
                   << "\", \"gpus\": " << gpus << ", \"load_qps\": " << load
                   << ", \"skew\": \"" << skew << "\", \"policy\": \""
-                  << core::batch_policy_name(policy) << "\", \"cache_mode\": \""
-                  << core::serve_cache_mode_name(cache)
+                  << util::mode_name(policy) << "\", \"cache_mode\": \""
+                  << util::mode_name(cache)
                   << "\", \"resolved_cache\": \""
-                  << core::serve_cache_mode_name(server.cache_mode_used())
+                  << util::mode_name(server.cache_mode_used())
                   << "\", \"requests\": " << stats.serve_requests
                   << ", \"batches\": " << stats.serve_batches
                   << ", \"mean_batch\": " << stats.serve_mean_batch_size

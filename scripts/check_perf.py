@@ -121,6 +121,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "perf_baseline.json"
 COUNTER = "flops_per_s"
@@ -231,11 +232,13 @@ def check_planned(current: dict[str, float], min_planned: float,
     return failures, report
 
 
-def load_comm_rows(path: Path) -> list[dict]:
+def load_rows(path: Path, bench: str) -> list[dict]:
+    """The non-OOM rows of a bench ``--json`` document tagged ``bench``."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("bench") != "comm_volume":
-        raise ValueError(f"{path} is not a bench_comm_volume JSON "
+    if doc.get("bench") != bench:
+        program = "bench_" + bench.replace("-", "_")
+        raise ValueError(f"{path} is not a {program} JSON "
                          f"(bench = {doc.get('bench')!r})")
     return [row for row in doc.get("rows", []) if not row.get("oom")]
 
@@ -291,15 +294,6 @@ def check_comm(rows: list[dict], min_everywhere: float, gate_gpus: int,
     return failures, report, speedups
 
 
-def load_plan_rows(path: Path) -> list[dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("bench") != "planner":
-        raise ValueError(f"{path} is not a bench_planner JSON "
-                         f"(bench = {doc.get('bench')!r})")
-    return [row for row in doc.get("rows", []) if not row.get("oom")]
-
-
 def plan_groups(rows: list[dict]) -> dict[tuple, dict[str, dict]]:
     """(machine, gpus, n, avg_degree, d) -> plan mode -> row."""
     groups: dict[tuple, dict[str, dict]] = {}
@@ -353,15 +347,6 @@ def check_plan(rows: list[dict], min_vs_fixed: float, win_speedup: float
             f"path and beats forced 1d by {win_speedup:.2f}x; the "
             f"mixture-of-parallelism payoff regimes are gone")
     return failures, report, speedups
-
-
-def load_part_rows(path: Path) -> list[dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("bench") != "multinode_scaling":
-        raise ValueError(f"{path} is not a bench_multinode_scaling JSON "
-                         f"(bench = {doc.get('bench')!r})")
-    return [row for row in doc.get("rows", []) if not row.get("oom")]
 
 
 def part_groups(rows: list[dict]) -> dict[tuple, dict[str, dict]]:
@@ -434,15 +419,6 @@ def check_part(rows: list[dict], min_speedup: float, gate_min_gpus: int,
     return failures, report, speedups
 
 
-def load_cache_rows(path: Path) -> list[dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("bench") != "sampled_pipeline":
-        raise ValueError(f"{path} is not a bench_sampled_pipeline JSON "
-                         f"(bench = {doc.get('bench')!r})")
-    return [row for row in doc.get("rows", []) if not row.get("oom")]
-
-
 def cache_groups(rows: list[dict]) -> dict[tuple, list[dict]]:
     """(dataset, gpus) -> rows of that sweep cell."""
     groups: dict[tuple, list[dict]] = {}
@@ -513,31 +489,15 @@ def check_cache(rows: list[dict], pipe_speedup: float, gate_min_gpus: int,
     return failures, report, speedups
 
 
-def load_serve_rows(path: Path) -> list[dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("bench") != "serving":
-        raise ValueError(f"{path} is not a bench_serving JSON "
-                         f"(bench = {doc.get('bench')!r})")
-    return [row for row in doc.get("rows", []) if row.get("qps", 0) > 0]
-
-
 def serve_groups(rows: list[dict]) -> dict[tuple, dict[tuple, dict]]:
     """(dataset, gpus, load_qps, skew) -> (policy, cache_mode) -> row."""
     groups: dict[tuple, dict[tuple, dict]] = {}
     for row in rows:
+        if row.get("qps", 0) <= 0:
+            continue
         key = (row["dataset"], row["gpus"], row["load_qps"], row["skew"])
         groups.setdefault(key, {})[(row["policy"], row["cache_mode"])] = row
     return groups
-
-
-def load_mem_rows(path: Path) -> list[dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("bench") != "memory-pool":
-        raise ValueError(f"{path} is not a bench_memory_pool JSON "
-                         f"(bench = {doc.get('bench')!r})")
-    return doc.get("rows", [])
 
 
 def check_mem(rows: list[dict], combined_reduction: float,
@@ -591,24 +551,6 @@ def check_mem(rows: list[dict], combined_reduction: float,
             f"{combined_reduction:.2f}x reuse-driven footprint "
             f"reduction{where}")
     return failures, report, reductions
-
-
-def check_mem_baseline(reductions: dict[str, float],
-                       baseline: dict[str, float],
-                       max_regression: float) -> list[str]:
-    failures = []
-    for name, base in sorted(baseline.items()):
-        if name not in reductions:
-            print(f"warning: baseline mem config not in current run: "
-                  f"{name}", file=sys.stderr)
-            continue
-        floor = base * (1.0 - max_regression)
-        if reductions[name] < floor:
-            failures.append(
-                f"mem regression: {name}: footprint reduction is "
-                f"{reductions[name]:.2f}x < {floor:.2f}x "
-                f"(baseline {base:.2f}x, allowed -{max_regression:.0%})")
-    return failures
 
 
 def check_serve(rows: list[dict], batch_speedup: float, gate_min_gpus: int,
@@ -667,94 +609,74 @@ def check_serve(rows: list[dict], batch_speedup: float, gate_min_gpus: int,
     return failures, report, speedups
 
 
-def check_serve_baseline(speedups: dict[str, float],
-                         baseline: dict[str, float],
-                         max_regression: float) -> list[str]:
+def check_baseline(section: str, label: str, regression: str,
+                   values: dict[str, float], baseline_doc: dict,
+                   max_regression: float) -> list[str]:
+    """Each config's gate ratio against the baseline's ``section``, if any.
+
+    ``regression`` formats the current ratio for the failure line, e.g.
+    ``"auto is {:.2f}x over dense"``.
+    """
     failures = []
-    for name, base in sorted(baseline.items()):
-        if name not in speedups:
-            print(f"warning: baseline serve config not in current run: "
+    for name, base in sorted(baseline_doc.get(section, {}).items()):
+        if name not in values:
+            print(f"warning: baseline {label} config not in current run: "
                   f"{name}", file=sys.stderr)
             continue
         floor = base * (1.0 - max_regression)
-        if speedups[name] < floor:
+        if values[name] < floor:
             failures.append(
-                f"serve regression: {name}: deadline is "
-                f"{speedups[name]:.2f}x over per-request < {floor:.2f}x "
+                f"{label} regression: {name}: "
+                f"{regression.format(values[name])} < {floor:.2f}x "
                 f"(baseline {base:.2f}x, allowed -{max_regression:.0%})")
     return failures
 
 
-def check_cache_baseline(speedups: dict[str, float],
-                         baseline: dict[str, float],
-                         max_regression: float) -> list[str]:
-    failures = []
-    for name, base in sorted(baseline.items()):
-        if name not in speedups:
-            print(f"warning: baseline cache config not in current run: "
-                  f"{name}", file=sys.stderr)
-            continue
-        floor = base * (1.0 - max_regression)
-        if speedups[name] < floor:
-            failures.append(
-                f"cache regression: {name}: pipelined+auto is "
-                f"{speedups[name]:.2f}x over serialized < {floor:.2f}x "
-                f"(baseline {base:.2f}x, allowed -{max_regression:.0%})")
-    return failures
+class Gate(NamedTuple):
+    """One bench gate: its CLI flag (also the failure-line label), the
+    bench's JSON tag, its perf_baseline.json section, the noun its configs
+    are counted by, the baseline-regression phrase, and the check."""
+    flag: str
+    bench: str
+    section: str
+    noun: str
+    regression: str
+    check: Callable[[list[dict], argparse.Namespace],
+                    tuple[list[str], list[str], dict[str, float]]]
 
 
-def check_part_baseline(speedups: dict[str, float],
-                        baseline: dict[str, float],
-                        max_regression: float) -> list[str]:
-    failures = []
-    for name, base in sorted(baseline.items()):
-        if name not in speedups:
-            print(f"warning: baseline part config not in current run: "
-                  f"{name}", file=sys.stderr)
-            continue
-        floor = base * (1.0 - max_regression)
-        if speedups[name] < floor:
-            failures.append(
-                f"part regression: {name}: locality is "
-                f"{speedups[name]:.2f}x over random < {floor:.2f}x "
-                f"(baseline {base:.2f}x, allowed -{max_regression:.0%})")
-    return failures
-
-
-def check_plan_baseline(speedups: dict[str, float],
-                        baseline: dict[str, float],
-                        max_regression: float) -> list[str]:
-    failures = []
-    for name, base in sorted(baseline.items()):
-        if name not in speedups:
-            print(f"warning: baseline plan config not in current run: "
-                  f"{name}", file=sys.stderr)
-            continue
-        floor = base * (1.0 - max_regression)
-        if speedups[name] < floor:
-            failures.append(
-                f"plan regression: {name}: auto is {speedups[name]:.2f}x "
-                f"over 1d < {floor:.2f}x (baseline {base:.2f}x, allowed "
-                f"-{max_regression:.0%})")
-    return failures
-
-
-def check_comm_baseline(speedups: dict[str, float],
-                        baseline: dict[str, float],
-                        max_regression: float) -> list[str]:
-    failures = []
-    for name, base in sorted(baseline.items()):
-        if name not in speedups:
-            print(f"warning: baseline comm config not in current run: "
-                  f"{name}", file=sys.stderr)
-            continue
-        floor = base * (1.0 - max_regression)
-        if speedups[name] < floor:
-            failures.append(
-                f"comm regression: {name}: auto is {speedups[name]:.2f}x "
-                f"over dense < {floor:.2f}x (baseline {base:.2f}x, allowed "
-                f"-{max_regression:.0%})")
-    return failures
+GATES = (
+    Gate("comm", "comm_volume", "comm_volume", "comm configs",
+         "auto is {:.2f}x over dense",
+         lambda rows, a: check_comm(rows, a.comm_min_speedup,
+                                    a.comm_gate_gpus, a.comm_gate_max_degree,
+                                    a.comm_gate_speedup)),
+    Gate("plan", "planner", "plan", "plan configs",
+         "auto is {:.2f}x over 1d",
+         lambda rows, a: check_plan(rows, a.plan_min_speedup,
+                                    a.plan_win_speedup)),
+    Gate("part", "multinode_scaling", "part", "part configs",
+         "locality is {:.2f}x over random",
+         lambda rows, a: check_part(rows, a.part_min_speedup,
+                                    a.part_gate_min_gpus,
+                                    a.part_max_imbalance, a.part_win_speedup,
+                                    a.part_win_nodes)),
+    Gate("cache", "sampled_pipeline", "cache", "cache configs",
+         "pipelined+auto is {:.2f}x over serialized",
+         lambda rows, a: check_cache(rows, a.cache_pipe_speedup,
+                                     a.cache_gate_min_gpus,
+                                     a.cache_min_speedup,
+                                     a.cache_monotone_eps)),
+    Gate("serve", "serving", "serve", "serve configs",
+         "deadline is {:.2f}x over per-request",
+         lambda rows, a: check_serve(rows, a.serve_batch_speedup,
+                                     a.serve_gate_min_gpus,
+                                     a.serve_min_speedup)),
+    Gate("mem", "memory-pool", "mem", "mem cells",
+         "footprint reduction is {:.2f}x",
+         lambda rows, a: check_mem(rows, a.mem_combined_reduction,
+                                   a.mem_gate_min_gpus)),
+)
 
 
 def main() -> int:
@@ -858,12 +780,10 @@ def main() -> int:
                         "instead of checking against it")
     args = parser.parse_args()
 
-    if (args.current is None and args.comm is None and args.plan is None
-            and args.part is None and args.cache is None
-            and args.serve is None and args.mem is None):
-        print("error: pass a bench_kernels JSON, --comm <json>, "
-              "--plan <json>, --part <json>, --cache <json>, "
-              "--serve <json>, --mem <json>, or a combination",
+    if args.current is None and all(getattr(args, g.flag) is None
+                                    for g in GATES):
+        flags = ", ".join(f"--{g.flag} <json>" for g in GATES)
+        print(f"error: pass a bench_kernels JSON, {flags}, or a combination",
               file=sys.stderr)
         return 1
 
@@ -875,20 +795,13 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
-    comm_rows = load_comm_rows(args.comm) if args.comm is not None else None
-    comm_speedups: dict[str, float] = {}
-    plan_rows = load_plan_rows(args.plan) if args.plan is not None else None
-    plan_speedups: dict[str, float] = {}
-    part_rows = load_part_rows(args.part) if args.part is not None else None
-    part_speedups: dict[str, float] = {}
-    cache_rows = (load_cache_rows(args.cache)
-                  if args.cache is not None else None)
-    cache_speedups: dict[str, float] = {}
-    serve_rows = (load_serve_rows(args.serve)
-                  if args.serve is not None else None)
-    serve_speedups: dict[str, float] = {}
-    mem_rows = load_mem_rows(args.mem) if args.mem is not None else None
-    mem_reductions: dict[str, float] = {}
+    rows = {g.flag: load_rows(getattr(args, g.flag), g.bench)
+            for g in GATES if getattr(args, g.flag) is not None}
+    values: dict[str, dict[str, float]] = {}
+
+    def counts() -> str:
+        return ", ".join([f"{len(current)} benchmarks"] + [
+            f"{len(values.get(g.flag, {}))} {g.noun}" for g in GATES])
 
     if args.update:
         payload = {}
@@ -902,51 +815,13 @@ def main() -> int:
         payload["counter"] = COUNTER
         if current:
             payload["benchmarks"] = {k: current[k] for k in sorted(current)}
-        if comm_rows is not None:
-            _, _, comm_speedups = check_comm(
-                comm_rows, args.comm_min_speedup, args.comm_gate_gpus,
-                args.comm_gate_max_degree, args.comm_gate_speedup)
-            payload["comm_volume"] = {
-                k: comm_speedups[k] for k in sorted(comm_speedups)}
-        if plan_rows is not None:
-            _, _, plan_speedups = check_plan(
-                plan_rows, args.plan_min_speedup, args.plan_win_speedup)
-            payload["plan"] = {
-                k: plan_speedups[k] for k in sorted(plan_speedups)}
-        if part_rows is not None:
-            _, _, part_speedups = check_part(
-                part_rows, args.part_min_speedup, args.part_gate_min_gpus,
-                args.part_max_imbalance, args.part_win_speedup,
-                args.part_win_nodes)
-            payload["part"] = {
-                k: part_speedups[k] for k in sorted(part_speedups)}
-        if cache_rows is not None:
-            _, _, cache_speedups = check_cache(
-                cache_rows, args.cache_pipe_speedup,
-                args.cache_gate_min_gpus, args.cache_min_speedup,
-                args.cache_monotone_eps)
-            payload["cache"] = {
-                k: cache_speedups[k] for k in sorted(cache_speedups)}
-        if serve_rows is not None:
-            _, _, serve_speedups = check_serve(
-                serve_rows, args.serve_batch_speedup,
-                args.serve_gate_min_gpus, args.serve_min_speedup)
-            payload["serve"] = {
-                k: serve_speedups[k] for k in sorted(serve_speedups)}
-        if mem_rows is not None:
-            _, _, mem_reductions = check_mem(
-                mem_rows, args.mem_combined_reduction,
-                args.mem_gate_min_gpus)
-            payload["mem"] = {
-                k: mem_reductions[k] for k in sorted(mem_reductions)}
+        for g in GATES:
+            if g.flag in rows:
+                _, _, values[g.flag] = g.check(rows[g.flag], args)
+                payload[g.section] = {k: values[g.flag][k]
+                                      for k in sorted(values[g.flag])}
         args.baseline.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"baseline updated: {args.baseline} ({len(current)} "
-              f"benchmarks, {len(comm_speedups)} comm configs, "
-              f"{len(plan_speedups)} plan configs, "
-              f"{len(part_speedups)} part configs, "
-              f"{len(cache_speedups)} cache configs, "
-              f"{len(serve_speedups)} serve configs, "
-              f"{len(mem_reductions)} mem cells)")
+        print(f"baseline updated: {args.baseline} ({counts()})")
         return 0
 
     failures: list[str] = []
@@ -962,77 +837,27 @@ def main() -> int:
               f"regression check", file=sys.stderr)
 
     report: list[str] = []
-    planned_report: list[str] = []
     if current:
-        speedup_failures, report = check_speedups(current, args.min_speedup)
+        speedup_failures, speedup_report = check_speedups(current,
+                                                          args.min_speedup)
         failures += speedup_failures
         planned_failures, planned_report = check_planned(
             current, args.min_planned_speedup, args.min_skew_speedup,
             args.large_n)
         failures += planned_failures
+        report += speedup_report + planned_report
 
-    comm_report: list[str] = []
-    if comm_rows is not None:
-        comm_failures, comm_report, comm_speedups = check_comm(
-            comm_rows, args.comm_min_speedup, args.comm_gate_gpus,
-            args.comm_gate_max_degree, args.comm_gate_speedup)
-        failures += comm_failures
-        if "comm_volume" in baseline_doc:
-            failures += check_comm_baseline(comm_speedups,
-                                            baseline_doc["comm_volume"],
-                                            args.max_regression)
-
-    plan_report: list[str] = []
-    if plan_rows is not None:
-        plan_failures, plan_report, plan_speedups = check_plan(
-            plan_rows, args.plan_min_speedup, args.plan_win_speedup)
-        failures += plan_failures
-        if "plan" in baseline_doc:
-            failures += check_plan_baseline(plan_speedups,
-                                            baseline_doc["plan"],
-                                            args.max_regression)
-    part_report: list[str] = []
-    if part_rows is not None:
-        part_failures, part_report, part_speedups = check_part(
-            part_rows, args.part_min_speedup, args.part_gate_min_gpus,
-            args.part_max_imbalance, args.part_win_speedup,
-            args.part_win_nodes)
-        failures += part_failures
-        if "part" in baseline_doc:
-            failures += check_part_baseline(part_speedups,
-                                            baseline_doc["part"],
-                                            args.max_regression)
-    cache_report: list[str] = []
-    if cache_rows is not None:
-        cache_failures, cache_report, cache_speedups = check_cache(
-            cache_rows, args.cache_pipe_speedup, args.cache_gate_min_gpus,
-            args.cache_min_speedup, args.cache_monotone_eps)
-        failures += cache_failures
-        if "cache" in baseline_doc:
-            failures += check_cache_baseline(cache_speedups,
-                                             baseline_doc["cache"],
-                                             args.max_regression)
-    serve_report: list[str] = []
-    if serve_rows is not None:
-        serve_failures, serve_report, serve_speedups = check_serve(
-            serve_rows, args.serve_batch_speedup, args.serve_gate_min_gpus,
-            args.serve_min_speedup)
-        failures += serve_failures
-        if "serve" in baseline_doc:
-            failures += check_serve_baseline(serve_speedups,
-                                             baseline_doc["serve"],
-                                             args.max_regression)
-    mem_report: list[str] = []
-    if mem_rows is not None:
-        mem_failures, mem_report, mem_reductions = check_mem(
-            mem_rows, args.mem_combined_reduction, args.mem_gate_min_gpus)
-        failures += mem_failures
-        if "mem" in baseline_doc:
-            failures += check_mem_baseline(mem_reductions,
-                                           baseline_doc["mem"],
-                                           args.max_regression)
-    for line in (report + planned_report + comm_report + plan_report +
-                 part_report + cache_report + serve_report + mem_report):
+    for g in GATES:
+        if g.flag not in rows:
+            continue
+        gate_failures, gate_report, values[g.flag] = g.check(rows[g.flag],
+                                                             args)
+        failures += gate_failures
+        failures += check_baseline(g.section, g.flag, g.regression,
+                                   values[g.flag], baseline_doc,
+                                   args.max_regression)
+        report += gate_report
+    for line in report:
         print(line)
 
     if failures:
@@ -1040,13 +865,7 @@ def main() -> int:
         for f in failures:
             print(f"  FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"check_perf: OK ({len(current)} benchmarks, "
-          f"{len(comm_speedups)} comm configs, "
-          f"{len(plan_speedups)} plan configs, "
-          f"{len(part_speedups)} part configs, "
-          f"{len(cache_speedups)} cache configs, "
-          f"{len(serve_speedups)} serve configs, "
-          f"{len(mem_reductions)} mem cells checked)")
+    print(f"check_perf: OK ({counts()} checked)")
     return 0
 
 

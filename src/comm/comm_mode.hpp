@@ -1,4 +1,4 @@
-// Exchange-mode registry for the staged-broadcast SpMM.
+// Exchange mode of the staged-broadcast SpMM.
 //
 // MG-GCN's baseline exchange broadcasts each rank's *entire* dense block
 // every stage (§4.1), even when the consuming tiles read only a few of its
@@ -13,49 +13,25 @@
 //     model predicts is faster — compaction wins on sparse stages, dense
 //     broadcast keeps high-density graphs at exactly their old timings.
 //
-// Selection mirrors the kernel registry (dense/kernel_policy.hpp):
-// set_comm_mode() programmatically, or the MGGCN_COMM environment variable
-// ("dense" | "compact" | "auto") read once at first use; an unknown value
-// fails loudly so experiment-script typos do not silently change the
-// communication volume under study.
+// The mode is a value (TrainConfig::comm_mode, the DistSpmm and Planner
+// constructors); default-built ones read the MGGCN_COMM environment
+// variable, and an unknown value fails loudly so experiment-script typos
+// do not silently change the communication volume under study.
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include "util/mode.hpp"
 
 namespace mggcn::comm {
 
 enum class CommMode { kDense = 0, kCompact = 1, kAuto = 2 };
 
-inline constexpr int kNumCommModes = 3;
-
-/// Stable lower-case name ("dense" | "compact" | "auto") for logs, CLI,
-/// and JSON.
-[[nodiscard]] const char* comm_mode_name(CommMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<CommMode> parse_comm_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto, overridable once via the MGGCN_COMM
-/// environment variable; throws InvalidArgumentError on an unknown
-/// MGGCN_COMM value.
-[[nodiscard]] CommMode comm_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --comm CLI flag).
-void set_comm_mode(CommMode mode);
-
-/// RAII mode override for tests and benches that diff the exchange paths.
-class ScopedCommMode {
- public:
-  explicit ScopedCommMode(CommMode mode) : previous_(comm_mode()) {
-    set_comm_mode(mode);
-  }
-  ~ScopedCommMode() { set_comm_mode(previous_); }
-  ScopedCommMode(const ScopedCommMode&) = delete;
-  ScopedCommMode& operator=(const ScopedCommMode&) = delete;
-
- private:
-  CommMode previous_;
-};
-
 }  // namespace mggcn::comm
+
+template <>
+struct mggcn::util::ModeTable<mggcn::comm::CommMode> {
+  using E = comm::CommMode;
+  static constexpr ModeRow<E> rows[] = {
+      {E::kDense, "dense"}, {E::kCompact, "compact"}, {E::kAuto, "auto"}};
+  static constexpr const char* env = "MGGCN_COMM";
+  static constexpr E fallback = E::kAuto;
+};

@@ -1,10 +1,10 @@
-// Feature-cache registry: whether and how the sampled pipeline pins hot
-// vertex feature rows in device memory.
+// Feature-cache mode: whether and how the sampled pipeline pins hot vertex
+// feature rows in device memory.
 //
 // Sampled mini-batch training re-reads the same high-degree input rows over
 // and over (CaPGNN, samgraph study exactly this skew); a per-device cache of
 // those rows converts repeated remote extraction traffic into local HBM
-// reads. The registry mirrors comm/comm_mode.hpp and core/part_mode.hpp:
+// reads:
 //
 //   - `off`:    every remote input row travels over the interconnect every
 //               time it is needed (the no-cache baseline).
@@ -23,15 +23,14 @@
 // Every mode trains bit-identically: the cache changes which task moves a
 // row (local gather vs sendv payload), never the row's contents.
 //
-// set_cache_mode() installs a mode programmatically; the MGGCN_CACHE
-// environment variable ("off" | "static" | "freq" | "auto") is read once at
-// first use and an unknown value fails loudly. The capacity knob —
-// MGGCN_CACHE_CAP, a fraction of the graph's vertices cacheable per device —
-// is read the same way (cache_capacity_fraction()).
+// The mode is a value (SampledPipeline::Options::cache_mode); default-built
+// options read the MGGCN_CACHE environment variable, and an unknown value
+// fails loudly. The capacity (Options::cache_capacity_fraction, a fraction
+// of the graph's vertices cacheable per device) defaults the same way from
+// MGGCN_CACHE_CAP.
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include "util/mode.hpp"
 
 namespace mggcn::core {
 
@@ -42,41 +41,15 @@ enum class CacheMode {
   kAuto = 3,
 };
 
-inline constexpr int kNumCacheModes = 4;
-
-/// Stable lower-case name ("off" | "static" | "freq" | "auto") for logs,
-/// CLI, and JSON.
-[[nodiscard]] const char* cache_mode_name(CacheMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<CacheMode> parse_cache_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto (cost-priced, never worse than off),
-/// overridable once via the MGGCN_CACHE environment variable; throws
-/// InvalidArgumentError on an unknown MGGCN_CACHE value.
-[[nodiscard]] CacheMode cache_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --cache CLI flag).
-void set_cache_mode(CacheMode mode);
-
-/// Per-device cache capacity as a fraction of the graph's vertex count.
-/// Defaults to 0.05, overridable once via MGGCN_CACHE_CAP (a double in
-/// [0, 1]); an unparsable value fails loudly.
-[[nodiscard]] double cache_capacity_fraction();
-void set_cache_capacity_fraction(double fraction);
-
-/// RAII mode override for tests and benches that diff the cache policies.
-class ScopedCacheMode {
- public:
-  explicit ScopedCacheMode(CacheMode mode) : previous_(cache_mode()) {
-    set_cache_mode(mode);
-  }
-  ~ScopedCacheMode() { set_cache_mode(previous_); }
-  ScopedCacheMode(const ScopedCacheMode&) = delete;
-  ScopedCacheMode& operator=(const ScopedCacheMode&) = delete;
-
- private:
-  CacheMode previous_;
-};
-
 }  // namespace mggcn::core
+
+template <>
+struct mggcn::util::ModeTable<mggcn::core::CacheMode> {
+  using E = core::CacheMode;
+  static constexpr ModeRow<E> rows[] = {{E::kOff, "off"},
+                                        {E::kStatic, "static"},
+                                        {E::kFreq, "freq"},
+                                        {E::kAuto, "auto"}};
+  static constexpr const char* env = "MGGCN_CACHE";
+  static constexpr E fallback = E::kAuto;
+};

@@ -29,12 +29,12 @@ struct TrainConfig {
   /// How the 1D vertex ordering + cut points are chosen: the paper's
   /// random permutation, nnz-balanced prefix cuts, the locality-aware
   /// min-cut partitioner, its hierarchical multi-node variant, or
-  /// cut-priced auto-selection (core/partitioner.hpp). Defaults to the
-  /// process-wide MGGCN_PART setting (read at config construction). All
-  /// modes train to the same optimum; losses differ only by the
-  /// floating-point reduction-order effect of reordering (the documented
-  /// §5.2 permutation effect).
-  PartMode part_mode = core::part_mode();
+  /// cut-priced auto-selection (core/partitioner.hpp). Defaults to
+  /// MGGCN_PART (read at config construction). All modes train to the
+  /// same optimum; losses differ only by the floating-point
+  /// reduction-order effect of reordering (the documented §5.2
+  /// permutation effect).
+  PartMode part_mode = util::env_mode<PartMode>();
   /// Balance slack for the locality/hier partitioners: a part's nnz may
   /// exceed the mean by at most this factor.
   double partition_slack = 1.15;
@@ -42,16 +42,15 @@ struct TrainConfig {
   bool overlap = true;
   /// Exchange path of the staged SpMM: dense broadcast, compacted
   /// ghost-row sendv, or per-stage cost-model auto-selection. Defaults to
-  /// the process-wide MGGCN_COMM setting (read at config construction, so
-  /// the environment axis reaches every trainer built from a default
-  /// config). All three train bit-identically; only volume/time differ.
-  comm::CommMode comm_mode = comm::comm_mode();
+  /// MGGCN_COMM (read at config construction, so the environment axis
+  /// reaches every trainer built from a default config). All three train
+  /// bit-identically; only volume/time differ.
+  comm::CommMode comm_mode = util::env_mode<comm::CommMode>();
   /// Distribution strategy of the distributed products: forced 1d / 15d /
   /// replicated, or per-layer cost-model auto-selection (core::Planner).
-  /// Defaults to the process-wide MGGCN_PLAN setting (read at config
-  /// construction). All four train bit-identically; only time, volume and
-  /// memory differ.
-  PlanMode plan_mode = core::plan_mode();
+  /// Defaults to MGGCN_PLAN (read at config construction). All four train
+  /// bit-identically; only time, volume and memory differ.
+  PlanMode plan_mode = util::env_mode<PlanMode>();
   /// §4.4: run GeMM before SpMM when d(l) >= d(l+1), else SpMM first.
   bool reorder_gemm_spmm = true;
   /// When reorder_gemm_spmm is off, run every layer aggregate-first
@@ -76,11 +75,11 @@ struct TrainConfig {
   double epsilon = 1e-8;
 
   /// Whether device buffers come from the stream-ordered workspace pool
-  /// (mem::WorkspacePool) or are statically owned. Defaults to the
-  /// process-wide MGGCN_POOL setting (read at config construction); kOff
-  /// preserves the pre-pool allocation behaviour bit for bit. See
-  /// mem/pool_mode.hpp for the off/on/auto semantics.
-  mem::PoolMode pool_mode = mem::pool_mode();
+  /// (mem::WorkspacePool) or are statically owned. Defaults to MGGCN_POOL
+  /// (read at config construction); kOff preserves the pre-pool
+  /// allocation behaviour bit for bit. See mem/pool_mode.hpp for the
+  /// off/on/auto semantics.
+  mem::PoolMode pool_mode = util::env_mode<mem::PoolMode>();
   /// Shared per-machine workspace pools (mem::PoolSet::create) so several
   /// tenants — trainer, sampled pipeline, inference server — recycle one
   /// budget. Null: kOn self-creates a private set, kOff/kAuto stay static.

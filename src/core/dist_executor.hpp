@@ -3,7 +3,7 @@
 // A distributed product computes, for the 1D-partitioned operator A and a
 // row-distributed dense matrix H, the row-distributed C = A * H. Three
 // executors implement this contract (see core/plan_mode.hpp for the
-// strategy registry and core/planner.hpp for the chooser):
+// strategy modes and core/planner.hpp for the chooser):
 //
 //   - DistSpmm           (1D staged broadcast, §4.1; dense/compact exchange)
 //   - DistSpmm15DChained (order-preserving 1.5D, c = 2)

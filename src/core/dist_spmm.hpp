@@ -34,9 +34,9 @@ class DistSpmm : public DistExecutor {
   /// `grid` holds the operator's tiles: grid.tile(i, s) multiplies the
   /// stage-s broadcast on rank i. `mode` selects the exchange path (dense
   /// broadcast, compacted ghost-row sendv, or per-stage cost-model
-  /// auto-selection); it defaults to the process-wide MGGCN_COMM setting.
+  /// auto-selection); it defaults to MGGCN_COMM.
   DistSpmm(sim::Machine& machine, comm::Communicator& comm, TileGrid grid,
-           comm::CommMode mode = comm::comm_mode());
+           comm::CommMode mode = util::env_mode<comm::CommMode>());
 
   /// Registers the tiles' CSR footprints with each device's memory
   /// accounting, plus — under the compact/auto exchange modes — the

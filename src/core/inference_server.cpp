@@ -55,25 +55,6 @@ double percentile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-const char* batch_policy_name(BatchPolicy policy) {
-  switch (policy) {
-    case BatchPolicy::kPerRequest:
-      return "per-request";
-    case BatchPolicy::kFixed:
-      return "fixed";
-    case BatchPolicy::kDeadline:
-      return "deadline";
-  }
-  return "unknown";
-}
-
-std::optional<BatchPolicy> parse_batch_policy(std::string_view name) {
-  if (name == "per-request") return BatchPolicy::kPerRequest;
-  if (name == "fixed") return BatchPolicy::kFixed;
-  if (name == "deadline") return BatchPolicy::kDeadline;
-  return std::nullopt;
-}
-
 InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
                                  const graph::Dataset& dataset,
                                  ServeOptions options)
@@ -83,8 +64,9 @@ InferenceServer::InferenceServer(sim::Machine& machine, MgGcnTrainer& trainer,
       perm_(trainer.perm().begin(), trainer.perm().end()) {
   MGGCN_CHECK_MSG(options_.max_batch >= 1 && options_.max_batch <= 4096,
                   "serve max_batch must be in [1, 4096]");
-  MGGCN_CHECK_MSG(options_.slack_seconds >= 0.0,
-                  "serve slack must be non-negative");
+  MGGCN_CHECK_MSG(options_.slack_seconds >= 0.0 &&
+                      options_.slack_seconds <= 1.0,
+                  "serve slack must be in [0, 1] seconds");
   MGGCN_CHECK_MSG(options_.cache_capacity_fraction >= 0.0 &&
                       options_.cache_capacity_fraction <= 1.0,
                   "serve cache capacity fraction must be in [0, 1]");

@@ -39,9 +39,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -55,6 +53,7 @@
 #include "mem/workspace_pool.hpp"
 #include "sim/machine.hpp"
 #include "sparse/csr.hpp"
+#include "util/env.hpp"
 
 namespace mggcn::core {
 
@@ -64,23 +63,31 @@ enum class BatchPolicy {
   kDeadline = 2,
 };
 
-inline constexpr int kNumBatchPolicies = 3;
+}  // namespace mggcn::core
 
-/// Stable lower-case name ("per-request" | "fixed" | "deadline").
-[[nodiscard]] const char* batch_policy_name(BatchPolicy policy);
+template <>
+struct mggcn::util::ModeTable<mggcn::core::BatchPolicy> {
+  using E = core::BatchPolicy;
+  static constexpr ModeRow<E> rows[] = {{E::kPerRequest, "per-request"},
+                                        {E::kFixed, "fixed"},
+                                        {E::kDeadline, "deadline"}};
+};
 
-/// Parses a policy name; nullopt when unknown.
-[[nodiscard]] std::optional<BatchPolicy> parse_batch_policy(
-    std::string_view name);
+namespace mggcn::core {
 
 struct ServeOptions {
   BatchPolicy policy = BatchPolicy::kDeadline;
-  /// Maximum micro-batch size; defaults to the MGGCN_SERVE_BATCH registry.
-  std::int64_t max_batch = serve_batch();
-  /// kDeadline wait budget, seconds; defaults to MGGCN_SERVE_SLACK.
-  double slack_seconds = serve_slack_seconds();
-  /// Embedding-cache policy; defaults to the MGGCN_SERVE_CACHE registry.
-  ServeCacheMode cache_mode = serve_cache_mode();
+  /// Maximum micro-batch size, in [1, 4096]; defaults to MGGCN_SERVE_BATCH,
+  /// else 16.
+  std::int64_t max_batch = util::env_int("MGGCN_SERVE_BATCH", 16, 1, 4096);
+  /// kDeadline wait budget in seconds, in [0, 1]; defaults to
+  /// MGGCN_SERVE_SLACK (given in microseconds), else 200 us.
+  double slack_seconds =
+      util::env_double("MGGCN_SERVE_SLACK", 200.0, 0.0, 1e6,
+                       "a wait budget in microseconds, in [0, 1e6]") *
+      1e-6;
+  /// Embedding-cache policy; defaults to MGGCN_SERVE_CACHE.
+  ServeCacheMode cache_mode = util::env_mode<ServeCacheMode>();
   /// Per-replica cache capacity as a fraction of the graph's vertices.
   double cache_capacity_fraction = 0.05;
   /// Workspace-pool policy (see mem/pool_mode.hpp). Pooled modes lease the
@@ -89,7 +96,7 @@ struct ServeOptions {
   /// pipeline when `pool` is set — and recycle the per-serve gather
   /// scratch between calls. kOff keeps the static allocation bit for bit;
   /// predictions are identical in every mode.
-  mem::PoolMode pool_mode = mem::pool_mode();
+  mem::PoolMode pool_mode = util::env_mode<mem::PoolMode>();
   /// Shared per-machine pools (mem::PoolSet::create) for cross-component
   /// reuse with the training engines.
   std::shared_ptr<mem::PoolSet> pool;

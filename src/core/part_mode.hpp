@@ -1,11 +1,9 @@
-// Partitioner registry: how the 1D vertex ordering and cut points are
-// chosen.
+// Partitioner mode: how the 1D vertex ordering and cut points are chosen.
 //
 // The paper's §5.2 answer is a random permutation with uniform cuts — it
 // buys nnz balance by deliberately destroying locality, which is exactly
 // the wrong trade once communication dominates (our compacted-exchange
-// bench shows permutation densifies the ghost sets). The registry mirrors
-// comm/comm_mode.hpp and core/plan_mode.hpp:
+// bench shows permutation densifies the ghost sets):
 //
 //   - `random` (default): §5.2 — random permutation (when
 //                 TrainConfig::permute) + uniform cuts, the paper's
@@ -27,15 +25,13 @@
 // floating-point reduction-order effect any reordering has (the documented
 // §5.2 permutation effect). Within one mode, training is bit-deterministic.
 //
-// set_part_mode() installs a mode programmatically; the MGGCN_PART
-// environment variable ("random" | "balanced" | "locality" | "hier" |
-// "auto") is read once at first use and an unknown value fails loudly, so
-// experiment-script typos do not silently change the partitioner under
+// The mode is a value (TrainConfig::part_mode); default-built configs read
+// the MGGCN_PART environment variable, and an unknown value fails loudly,
+// so experiment-script typos do not silently change the partitioner under
 // study.
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include "util/mode.hpp"
 
 namespace mggcn::core {
 
@@ -47,35 +43,25 @@ enum class PartMode {
   kAuto = 4,
 };
 
-inline constexpr int kNumPartModes = 5;
+}  // namespace mggcn::core
 
-/// Stable lower-case name ("random" | "balanced" | "locality" | "hier" |
-/// "auto") for logs, CLI, and JSON.
-[[nodiscard]] const char* part_mode_name(PartMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<PartMode> parse_part_mode(std::string_view name);
-
-/// The active mode. Defaults to kRandom (the paper's behaviour),
-/// overridable once via the MGGCN_PART environment variable; throws
-/// InvalidArgumentError on an unknown MGGCN_PART value.
-[[nodiscard]] PartMode part_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --part CLI flag).
-void set_part_mode(PartMode mode);
-
-/// RAII mode override for tests and benches that diff the partitioners.
-class ScopedPartMode {
- public:
-  explicit ScopedPartMode(PartMode mode) : previous_(part_mode()) {
-    set_part_mode(mode);
-  }
-  ~ScopedPartMode() { set_part_mode(previous_); }
-  ScopedPartMode(const ScopedPartMode&) = delete;
-  ScopedPartMode& operator=(const ScopedPartMode&) = delete;
-
- private:
-  PartMode previous_;
+template <>
+struct mggcn::util::ModeTable<mggcn::core::PartMode> {
+  using E = core::PartMode;
+  static constexpr ModeRow<E> rows[] = {{E::kRandom, "random"},
+                                        {E::kBalanced, "balanced"},
+                                        {E::kLocality, "locality"},
+                                        {E::kHier, "hier"},
+                                        {E::kAuto, "auto"}};
+  static constexpr const char* env = "MGGCN_PART";
+  static constexpr E fallback = E::kRandom;
 };
+
+namespace mggcn::core {
+
+/// util::mode_name for PartMode, kept for existing callers.
+[[nodiscard]] inline const char* part_mode_name(PartMode mode) {
+  return util::mode_name(mode);
+}
 
 }  // namespace mggcn::core

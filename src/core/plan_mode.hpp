@@ -1,9 +1,9 @@
-// Distribution-strategy registry for the per-layer auto-planner.
+// Distribution strategy of the per-layer auto-planner.
 //
 // The paper fixes one distribution strategy — the 1D staged broadcast
 // (§4.1) — for every layer, but the cheapest strategy depends on the dense
 // width d(l), the tile density, and the topology (the mixture-of-parallelism
-// argument; see core/planner.hpp). The registry mirrors comm/comm_mode.hpp:
+// argument; see core/planner.hpp):
 //
 //   - `1d`:         always the staged broadcast (DistSpmm; the dense /
 //                   compact exchange choice composes underneath via
@@ -20,48 +20,27 @@
 // order — exactly the 1D stage order — so trainer losses are bit-identical
 // across MGGCN_PLAN values; only time, volume and memory differ.
 //
-// set_plan_mode() installs a mode programmatically; the MGGCN_PLAN
-// environment variable ("1d" | "15d" | "replicated" | "auto") is read once
-// at first use and an unknown value fails loudly, so experiment-script
-// typos do not silently change the strategy under study.
+// The mode is a value (TrainConfig::plan_mode, the Planner constructor);
+// default-built ones read the MGGCN_PLAN environment variable, and an
+// unknown value fails loudly, so experiment-script typos do not silently
+// change the strategy under study.
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include "util/mode.hpp"
 
 namespace mggcn::core {
 
 enum class PlanMode { k1D = 0, k15D = 1, kReplicated = 2, kAuto = 3 };
 
-inline constexpr int kNumPlanModes = 4;
-
-/// Stable lower-case name ("1d" | "15d" | "replicated" | "auto") for logs,
-/// CLI, and JSON.
-[[nodiscard]] const char* plan_mode_name(PlanMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<PlanMode> parse_plan_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto, overridable once via the MGGCN_PLAN
-/// environment variable; throws InvalidArgumentError on an unknown
-/// MGGCN_PLAN value.
-[[nodiscard]] PlanMode plan_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --plan CLI flag).
-void set_plan_mode(PlanMode mode);
-
-/// RAII mode override for tests and benches that diff the strategies.
-class ScopedPlanMode {
- public:
-  explicit ScopedPlanMode(PlanMode mode) : previous_(plan_mode()) {
-    set_plan_mode(mode);
-  }
-  ~ScopedPlanMode() { set_plan_mode(previous_); }
-  ScopedPlanMode(const ScopedPlanMode&) = delete;
-  ScopedPlanMode& operator=(const ScopedPlanMode&) = delete;
-
- private:
-  PlanMode previous_;
-};
-
 }  // namespace mggcn::core
+
+template <>
+struct mggcn::util::ModeTable<mggcn::core::PlanMode> {
+  using E = core::PlanMode;
+  static constexpr ModeRow<E> rows[] = {{E::k1D, "1d"},
+                                        {E::k15D, "15d"},
+                                        {E::kReplicated, "replicated"},
+                                        {E::kAuto, "auto"}};
+  static constexpr const char* env = "MGGCN_PLAN";
+  static constexpr E fallback = E::kAuto;
+};

@@ -101,11 +101,11 @@ class Planner {
   };
 
   /// Takes ownership of `grid` (the Planner's DistSpmm holds it; the other
-  /// executors reference it). `mode`/`comm_mode` default to the
-  /// process-wide MGGCN_PLAN / MGGCN_COMM settings.
+  /// executors reference it). `mode`/`comm_mode` default to MGGCN_PLAN /
+  /// MGGCN_COMM.
   Planner(sim::Machine& machine, comm::Communicator& comm, TileGrid grid,
-          PlanMode mode = plan_mode(),
-          comm::CommMode comm_mode = comm::comm_mode());
+          PlanMode mode = util::env_mode<PlanMode>(),
+          comm::CommMode comm_mode = util::env_mode<comm::CommMode>());
 
   Planner(const Planner&) = delete;
   Planner& operator=(const Planner&) = delete;

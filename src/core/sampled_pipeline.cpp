@@ -106,6 +106,9 @@ SampledPipeline::SampledPipeline(sim::Machine& machine,
   MGGCN_CHECK_MSG(options_.batch_size >= 1, "batch_size must be positive");
   MGGCN_CHECK_MSG(options_.fanout.size() == options_.hidden_dims.size() + 1,
                   "need one fanout entry per layer");
+  MGGCN_CHECK_MSG(options_.cache_capacity_fraction >= 0.0 &&
+                      options_.cache_capacity_fraction <= 1.0,
+                  "cache capacity fraction must be in [0, 1]");
   const bool real = machine_.mode() == sim::ExecutionMode::kReal;
   if (real) {
     MGGCN_CHECK_MSG(dataset_.has_features() &&

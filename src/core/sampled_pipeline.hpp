@@ -32,7 +32,7 @@
 // pipelined run exactly — only the simulated schedule differs).
 //
 // Cache behaviour is selected by Options::cache_mode (default: the
-// process-wide MGGCN_CACHE setting). All cache modes train bit-identically:
+// MGGCN_CACHE environment variable). All cache modes train bit-identically:
 // the cache only changes which fabric moves a feature row, never its
 // contents.
 #pragma once
@@ -50,6 +50,7 @@
 #include "graph/sampling.hpp"
 #include "mem/workspace_pool.hpp"
 #include "sim/machine.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace mggcn::core {
@@ -70,17 +71,19 @@ class SampledPipeline {
     /// baseline; numerics are identical either way).
     bool pipeline = true;
     /// Feature-cache policy; kAuto is resolved against the cost model at
-    /// construction (FeatureCache::plan_auto).
-    CacheMode cache_mode = core::cache_mode();
-    /// Requested cache capacity as a fraction of the graph's vertices.
-    double cache_capacity_fraction = core::cache_capacity_fraction();
+    /// construction (FeatureCache::plan_auto). Defaults to MGGCN_CACHE.
+    CacheMode cache_mode = util::env_mode<CacheMode>();
+    /// Requested cache capacity as a fraction of the graph's vertices, in
+    /// [0, 1]. Defaults to MGGCN_CACHE_CAP, else 0.05.
+    double cache_capacity_fraction = util::env_double(
+        "MGGCN_CACHE_CAP", 0.05, 0.0, 1.0, "a fraction in [0, 1]");
     /// Workspace-pool policy (see mem/pool_mode.hpp). In pooled modes the
     /// round scratch (gather blocks, activations, gradient temporaries) is
     /// leased from the per-device pool and recycled as each level's last
     /// consumer is enqueued, so backward temporaries of different levels
     /// share blocks; kOff keeps the static per-round allocation bit for
     /// bit. Numerics are identical in every mode.
-    mem::PoolMode pool_mode = mem::pool_mode();
+    mem::PoolMode pool_mode = util::env_mode<mem::PoolMode>();
     /// Shared per-machine pools (mem::PoolSet::create) so the pipeline
     /// recycles one budget with other tenants (trainer, inference server).
     std::shared_ptr<mem::PoolSet> pool;

@@ -1,9 +1,8 @@
-// Serving-tier registry: the MGGCN_SERVE_* knobs of core::InferenceServer.
+// Serving embedding-cache mode of core::InferenceServer.
 //
 // The inference tier answers node-classification queries against a trained
 // model; its embedding tier can pin remote store rows in device memory the
-// same way the sampled pipeline's feature cache does. The registry mirrors
-// core/cache_mode.hpp:
+// same way the sampled pipeline's feature cache does:
 //
 //   - `off`:   every remote store row travels over the interconnect for
 //              every batch that needs it (the no-cache baseline).
@@ -18,17 +17,13 @@
 // Every mode predicts bit-identically: the cache changes which task moves a
 // row, never the row's contents.
 //
-// set_serve_cache_mode() installs a mode programmatically; the
-// MGGCN_SERVE_CACHE environment variable ("off" | "embed" | "auto") is read
-// once at first use and an unknown value fails loudly (util::env_enum). The
-// batching knobs are read the same way: MGGCN_SERVE_BATCH (maximum
-// micro-batch size, an integer in [1, 4096]) and MGGCN_SERVE_SLACK (the
-// deadline policy's wait budget in microseconds, a double in [0, 1e6]).
+// The mode is a value (ServeOptions::cache_mode); default-built options
+// read the MGGCN_SERVE_CACHE environment variable, and an unknown value
+// fails loudly. The batching knobs default the same way: MGGCN_SERVE_BATCH
+// (ServeOptions::max_batch) and MGGCN_SERVE_SLACK (slack_seconds).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string_view>
+#include "util/mode.hpp"
 
 namespace mggcn::core {
 
@@ -38,49 +33,13 @@ enum class ServeCacheMode {
   kAuto = 2,
 };
 
-inline constexpr int kNumServeCacheModes = 3;
-
-/// Stable lower-case name ("off" | "embed" | "auto") for logs, CLI, and
-/// JSON.
-[[nodiscard]] const char* serve_cache_mode_name(ServeCacheMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<ServeCacheMode> parse_serve_cache_mode(
-    std::string_view name);
-
-/// The active mode. Defaults to kAuto (cost-priced, never worse than off),
-/// overridable once via the MGGCN_SERVE_CACHE environment variable; throws
-/// InvalidArgumentError on an unknown MGGCN_SERVE_CACHE value.
-[[nodiscard]] ServeCacheMode serve_cache_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --serve-cache CLI flag).
-void set_serve_cache_mode(ServeCacheMode mode);
-
-/// Maximum micro-batch size of the batcher. Defaults to 16, overridable
-/// once via MGGCN_SERVE_BATCH (an integer in [1, 4096]); an unparsable or
-/// out-of-range value fails loudly.
-[[nodiscard]] std::int64_t serve_batch();
-void set_serve_batch(std::int64_t batch);
-
-/// Deadline-policy wait budget in seconds. Defaults to 200 microseconds,
-/// overridable once via MGGCN_SERVE_SLACK (microseconds, a double in
-/// [0, 1e6]); an unparsable value fails loudly.
-[[nodiscard]] double serve_slack_seconds();
-void set_serve_slack_seconds(double seconds);
-
-/// RAII mode override for tests and benches that diff the cache policies.
-class ScopedServeCacheMode {
- public:
-  explicit ScopedServeCacheMode(ServeCacheMode mode)
-      : previous_(serve_cache_mode()) {
-    set_serve_cache_mode(mode);
-  }
-  ~ScopedServeCacheMode() { set_serve_cache_mode(previous_); }
-  ScopedServeCacheMode(const ScopedServeCacheMode&) = delete;
-  ScopedServeCacheMode& operator=(const ScopedServeCacheMode&) = delete;
-
- private:
-  ServeCacheMode previous_;
-};
-
 }  // namespace mggcn::core
+
+template <>
+struct mggcn::util::ModeTable<mggcn::core::ServeCacheMode> {
+  using E = core::ServeCacheMode;
+  static constexpr ModeRow<E> rows[] = {
+      {E::kOff, "off"}, {E::kEmbed, "embed"}, {E::kAuto, "auto"}};
+  static constexpr const char* env = "MGGCN_SERVE_CACHE";
+  static constexpr E fallback = E::kAuto;
+};

@@ -98,7 +98,7 @@ void MgGcnTrainer::preprocess(const graph::Dataset& dataset) {
   const int p = machine_.num_devices();
   const sim::InterconnectProfile& inter = machine_.profile().interconnect;
 
-  // Vertex ordering + cut points through the partitioner registry: §5.2's
+  // Vertex ordering + cut points chosen by config_.part_mode: §5.2's
   // random permutation (the default, bit-identical to the historical
   // path), nnz-balanced prefix cuts, or the locality-aware/hierarchical
   // min-cut modes. kAuto's inter-node ghost-row weight is the ratio

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "dense/kernels.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::dense {
@@ -11,9 +10,7 @@ namespace mggcn::dense {
 namespace {
 
 std::atomic<KernelPolicy>& active_policy() {
-  static std::atomic<KernelPolicy> policy{
-      util::env_enum("MGGCN_KERNELS", KernelPolicy::kPlanned,
-                     parse_kernel_policy, "'naive', 'tiled', or 'planned'")};
+  static std::atomic<KernelPolicy> policy{util::env_mode<KernelPolicy>()};
   return policy;
 }
 
@@ -21,7 +18,7 @@ DenseKernelTable* tables() {
   // The planned policy only changes the *sparse* path (its SpMM runs
   // through an inspector-built plan); for dense kernels it shares the
   // tiled implementations.
-  static DenseKernelTable registered[kNumKernelPolicies] = {
+  static DenseKernelTable registered[util::mode_count<KernelPolicy>()] = {
       {&naive::gemm, &naive::gemm_at_b, &naive::gemm_a_bt,
        &naive::gemm_a_bt_relu_masked},
       {&tiled::gemm, &tiled::gemm_at_b, &tiled::gemm_a_bt,
@@ -33,25 +30,6 @@ DenseKernelTable* tables() {
 }
 
 }  // namespace
-
-const char* kernel_policy_name(KernelPolicy policy) {
-  switch (policy) {
-    case KernelPolicy::kNaive:
-      return "naive";
-    case KernelPolicy::kTiled:
-      return "tiled";
-    case KernelPolicy::kPlanned:
-      return "planned";
-  }
-  return "unknown";
-}
-
-std::optional<KernelPolicy> parse_kernel_policy(std::string_view name) {
-  if (name == "naive") return KernelPolicy::kNaive;
-  if (name == "tiled") return KernelPolicy::kTiled;
-  if (name == "planned") return KernelPolicy::kPlanned;
-  return std::nullopt;
-}
 
 KernelPolicy kernel_policy() {
   return active_policy().load(std::memory_order_relaxed);

@@ -14,29 +14,31 @@
 //     one-time per-matrix degree-binning pass across every later launch.
 //
 // Selection: set_kernel_policy() programmatically, or the MGGCN_KERNELS
-// environment variable ("naive" | "tiled" | "planned") read once at first
-// use. Benches expose it as a CLI sweep so the policies land in the same
+// environment variable read once at first use. Unlike the other modes this
+// one is process-wide: the free gemm/spmm entry points have no config in
+// reach. Benches expose it as a CLI sweep so the policies land in the same
 // JSON artifact for the perf-regression gate (scripts/check_perf.py).
 #pragma once
 
-#include <optional>
-#include <string_view>
-
 #include "dense/matrix.hpp"
+#include "util/mode.hpp"
 
 namespace mggcn::dense {
 
 enum class KernelPolicy { kNaive = 0, kTiled = 1, kPlanned = 2 };
 
-inline constexpr int kNumKernelPolicies = 3;
+}  // namespace mggcn::dense
 
-/// Stable lower-case name ("naive" | "tiled" | "planned") for logs, CLI,
-/// and JSON.
-[[nodiscard]] const char* kernel_policy_name(KernelPolicy policy);
+template <>
+struct mggcn::util::ModeTable<mggcn::dense::KernelPolicy> {
+  using E = dense::KernelPolicy;
+  static constexpr ModeRow<E> rows[] = {
+      {E::kNaive, "naive"}, {E::kTiled, "tiled"}, {E::kPlanned, "planned"}};
+  static constexpr const char* env = "MGGCN_KERNELS";
+  static constexpr E fallback = E::kPlanned;
+};
 
-/// Parses a policy name; nullopt when unknown.
-[[nodiscard]] std::optional<KernelPolicy> parse_kernel_policy(
-    std::string_view name);
+namespace mggcn::dense {
 
 /// The active policy. Defaults to kPlanned, overridable once via the
 /// MGGCN_KERNELS environment variable; throws InvalidArgumentError on an

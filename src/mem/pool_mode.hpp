@@ -1,7 +1,5 @@
-// Workspace-pool registry: whether device buffers come from the shared
+// Workspace-pool mode: whether device buffers come from the shared
 // stream-ordered pool (mem::WorkspacePool) or are statically owned.
-//
-// The registry mirrors core/cache_mode.hpp and friends:
 //
 //   - `off`:  every component allocates private sim::DeviceBuffers exactly
 //             as before the pool existed — the bit-for-bit parity axis the
@@ -21,15 +19,13 @@
 // fresh DeviceBuffer; only footprint and (slightly) the simulated schedule
 // of reuse edges differ.
 //
-// set_pool_mode() installs a mode programmatically; the MGGCN_POOL
-// environment variable ("off" | "on" | "auto") is read once at first use
-// and an unknown value fails loudly. MGGCN_POOL_BUDGET caps each device's
-// pool in bytes (0 = the device's full memory capacity).
+// The mode is a value (the engines' `pool_mode` option fields);
+// default-built ones read the MGGCN_POOL environment variable, and an
+// unknown value fails loudly. MGGCN_POOL_BUDGET is the default per-device
+// budget of PoolSet::create in bytes (0 = the device's full capacity).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string_view>
+#include "util/mode.hpp"
 
 namespace mggcn::mem {
 
@@ -39,39 +35,13 @@ enum class PoolMode {
   kAuto = 2,
 };
 
-inline constexpr int kNumPoolModes = 3;
-
-/// Stable lower-case name ("off" | "on" | "auto") for logs, CLI, and JSON.
-[[nodiscard]] const char* pool_mode_name(PoolMode mode);
-
-/// Parses a mode name; nullopt when unknown.
-[[nodiscard]] std::optional<PoolMode> parse_pool_mode(std::string_view name);
-
-/// The active mode. Defaults to kAuto, overridable once via the MGGCN_POOL
-/// environment variable; throws InvalidArgumentError on an unknown value.
-[[nodiscard]] PoolMode pool_mode();
-
-/// Installs `mode` as the active mode (e.g. from a --pool CLI flag).
-void set_pool_mode(PoolMode mode);
-
-/// Per-device pool budget in bytes; 0 means "the device's full capacity".
-/// Defaults to 0, overridable once via MGGCN_POOL_BUDGET (a non-negative
-/// byte count); an unparsable value fails loudly.
-[[nodiscard]] std::uint64_t pool_budget_bytes();
-void set_pool_budget_bytes(std::uint64_t bytes);
-
-/// RAII mode override for tests and benches that diff the pool policies.
-class ScopedPoolMode {
- public:
-  explicit ScopedPoolMode(PoolMode mode) : previous_(pool_mode()) {
-    set_pool_mode(mode);
-  }
-  ~ScopedPoolMode() { set_pool_mode(previous_); }
-  ScopedPoolMode(const ScopedPoolMode&) = delete;
-  ScopedPoolMode& operator=(const ScopedPoolMode&) = delete;
-
- private:
-  PoolMode previous_;
-};
-
 }  // namespace mggcn::mem
+
+template <>
+struct mggcn::util::ModeTable<mggcn::mem::PoolMode> {
+  using E = mem::PoolMode;
+  static constexpr ModeRow<E> rows[] = {
+      {E::kOff, "off"}, {E::kOn, "on"}, {E::kAuto, "auto"}};
+  static constexpr const char* env = "MGGCN_POOL";
+  static constexpr E fallback = E::kAuto;
+};

@@ -476,11 +476,6 @@ WorkspacePool& PoolSet::pool(int rank) {
 }
 
 std::shared_ptr<PoolSet> resolve_pool(std::shared_ptr<PoolSet> shared,
-                                      sim::Machine& machine) {
-  return resolve_pool(std::move(shared), machine, pool_mode());
-}
-
-std::shared_ptr<PoolSet> resolve_pool(std::shared_ptr<PoolSet> shared,
                                       sim::Machine& machine, PoolMode mode) {
   if (mode == PoolMode::kOff) return nullptr;
   if (shared != nullptr && shared->machine() == &machine) return shared;

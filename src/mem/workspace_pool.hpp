@@ -45,12 +45,14 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/pool_mode.hpp"
 #include "sim/device.hpp"
+#include "util/env.hpp"
 
 namespace mggcn::sim {
 class Machine;
@@ -208,8 +210,12 @@ class WorkspacePool {
 /// boundaries. Keep the owning Machine alive for the set's lifetime.
 class PoolSet {
  public:
+  /// `budget_bytes` caps each device's pool (0 = the device's full
+  /// capacity); it defaults to MGGCN_POOL_BUDGET, else 0.
   [[nodiscard]] static std::shared_ptr<PoolSet> create(
-      sim::Machine& machine, std::uint64_t budget_bytes = pool_budget_bytes());
+      sim::Machine& machine,
+      std::uint64_t budget_bytes = static_cast<std::uint64_t>(util::env_int(
+          "MGGCN_POOL_BUDGET", 0, 0, std::numeric_limits<long long>::max())));
 
   [[nodiscard]] WorkspacePool& pool(int rank);
   [[nodiscard]] sim::Machine* machine() const { return machine_; }
@@ -220,15 +226,12 @@ class PoolSet {
   std::vector<std::unique_ptr<WorkspacePool>> pools_;
 };
 
-/// Resolves an engine's pooling decision against the MGGCN_POOL registry:
-/// a shared set built for `machine` wins; otherwise kOn self-creates a
-/// private set and kOff/kAuto return null (static allocation). A shared
-/// set built for a *different* machine (an elastic rebuild) is ignored —
-/// its pools reference dead devices.
-[[nodiscard]] std::shared_ptr<PoolSet> resolve_pool(
-    std::shared_ptr<PoolSet> shared, sim::Machine& machine);
-/// Same, but with the engine's own mode (e.g. TrainConfig::pool_mode)
-/// instead of the process-wide registry value.
+/// Resolves an engine's pooling decision under its own `mode` (e.g.
+/// TrainConfig::pool_mode): kOff returns null (static allocation);
+/// otherwise a shared set built for `machine` wins, kOn self-creates a
+/// private set and kAuto returns null. A shared set built for a
+/// *different* machine (an elastic rebuild) is ignored — its pools
+/// reference dead devices.
 [[nodiscard]] std::shared_ptr<PoolSet> resolve_pool(
     std::shared_ptr<PoolSet> shared, sim::Machine& machine, PoolMode mode);
 

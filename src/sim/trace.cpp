@@ -48,7 +48,11 @@ const char* hazard_kind_name(HazardKind kind) {
 
 void Trace::record(TraceRecord rec) {
   std::lock_guard lock(mutex_);
+  const double begin = rec.t_begin;
   records_.push_back(std::move(rec));
+  begin_prefix_max_.push_back(begin_prefix_max_.empty()
+                                  ? begin
+                                  : std::max(begin_prefix_max_.back(), begin));
 }
 
 void Trace::record_fault(FaultRecord rec) {
@@ -114,6 +118,7 @@ PoolCounters Trace::pool_counters() const {
 void Trace::clear() {
   std::lock_guard lock(mutex_);
   records_.clear();
+  begin_prefix_max_.clear();
   fault_records_.clear();
   hazard_records_.clear();
   comm_volume_ = CommVolume{};
@@ -152,10 +157,18 @@ std::vector<TraceRecord> Trace::records() const {
   return records_;
 }
 
+std::size_t Trace::first_record_since(double since) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(begin_prefix_max_.begin(), begin_prefix_max_.end(),
+                       since) -
+      begin_prefix_max_.begin());
+}
+
 std::map<TaskKind, double> Trace::busy_by_kind(double since) const {
   std::lock_guard lock(mutex_);
   std::map<TaskKind, double> out;
-  for (const auto& rec : records_) {
+  for (std::size_t i = first_record_since(since); i < records_.size(); ++i) {
+    const TraceRecord& rec = records_[i];
     if (rec.t_begin < since) continue;
     out[rec.kind] += rec.duration();
   }
@@ -165,7 +178,8 @@ std::map<TaskKind, double> Trace::busy_by_kind(double since) const {
 std::vector<TraceRecord> Trace::device_records(int device, double since) const {
   std::lock_guard lock(mutex_);
   std::vector<TraceRecord> out;
-  for (const auto& rec : records_) {
+  for (std::size_t i = first_record_since(since); i < records_.size(); ++i) {
+    const TraceRecord& rec = records_[i];
     if (rec.device == device && rec.t_begin >= since) out.push_back(rec);
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {

@@ -302,6 +302,8 @@ class Trace {
                                         int epoch = -1) const;
 
   /// Total simulated busy time per kind, over records with t_begin >= since.
+  /// Costs O(log n) plus the records from the first one at or after
+  /// `since`, not the whole trace.
   [[nodiscard]] std::map<TaskKind, double> busy_by_kind(
       double since = 0.0) const;
 
@@ -320,8 +322,16 @@ class Trace {
   void export_chrome_json(const std::string& path) const;
 
  private:
+  /// Index of the first record that can have t_begin >= since: every
+  /// earlier one is below it (see begin_prefix_max_). Caller holds mutex_.
+  [[nodiscard]] std::size_t first_record_since(double since) const;
+
   mutable std::mutex mutex_;
   std::vector<TraceRecord> records_;
+  /// begin_prefix_max_[i] = max t_begin over records_[0..i]. Records arrive
+  /// in completion order, so t_begin is only roughly sorted across devices
+  /// and streams; this running maximum is sorted and bounds every prefix.
+  std::vector<double> begin_prefix_max_;
   std::vector<FaultRecord> fault_records_;
   std::vector<HazardRecord> hazard_records_;
   CommVolume comm_volume_;

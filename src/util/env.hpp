@@ -1,12 +1,12 @@
-// Shared environment-knob parsing for the MGGCN_* registries.
+// Shared environment-knob parsing for the MGGCN_* knobs.
 //
-// Every mode registry (MGGCN_KERNELS, MGGCN_PLAN, MGGCN_PART, MGGCN_COMM,
-// MGGCN_CACHE, MGGCN_SERVE_CACHE, ...) follows the same contract: the
-// variable is read once at first use, an unset/empty value means "use the
-// default", and anything unparsable fails loudly with a message naming the
-// knob — experiment-script typos must never silently change the
-// configuration under study. These helpers centralize that contract so a
-// new knob cannot get it subtly wrong.
+// Every knob (MGGCN_KERNELS, MGGCN_PLAN, MGGCN_PART, MGGCN_COMM,
+// MGGCN_CACHE_CAP, MGGCN_SERVE_BATCH, ...) follows the same contract: an
+// unset/empty value means "use the default", and anything unparsable fails
+// loudly with a message naming the knob — experiment-script typos must
+// never silently change the configuration under study. These helpers
+// centralize that contract so a new knob cannot get it subtly wrong; the
+// enum-valued knobs go through util::env_mode (util/mode.hpp).
 #pragma once
 
 #include <cstdlib>
@@ -18,9 +18,9 @@
 
 namespace mggcn::util {
 
-/// Reads an enum-valued knob. `parse` maps a token to std::optional<Enum>
-/// (the registry's existing parse_* function); `allowed` is the human
-/// description of the legal tokens, e.g. "'off', 'embed', or 'auto'".
+/// Reads an enum-valued knob. `parse` maps a token to std::optional<Enum>;
+/// `allowed` is the human description of the legal tokens, e.g.
+/// "'off', 'embed', or 'auto'".
 /// Throws InvalidArgumentError naming the knob on an unknown token.
 template <typename Enum, typename Parser>
 Enum env_enum(const char* name, Enum fallback, Parser&& parse,

@@ -103,12 +103,12 @@ TEST(Baselines, MgGcnIsFastestOnTheSameWorkload) {
   // broadcast exchange and 1D staged pipeline; pin both so forced
   // MGGCN_COMM=compact / MGGCN_PLAN=15d runs (intentional pessimizations
   // on this workload) keep the premise.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
-  core::ScopedPlanMode plan_1d(core::PlanMode::k1D);
   // A big-enough replica that multi-GPU pays off (Cora-sized graphs do
   // not scale, as the paper notes).
   const graph::Dataset ds = phantom_dataset(/*scale=*/8.0);
   core::TrainConfig base = core::model_hidden512();
+  base.comm_mode = comm::CommMode::kDense;
+  base.plan_mode = core::PlanMode::k1D;
 
   auto epoch_time = [&](auto make_trainer, int gpus) {
     sim::Machine machine(sim::dgx_v100(), gpus,

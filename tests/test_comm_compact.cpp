@@ -103,16 +103,15 @@ TEST(CommCompact, TrainerLossesBitIdenticalAcrossModes) {
 }
 
 TEST(CommCompact, EnvModeReachesDefaultConfiguredTrainer) {
-  // MGGCN_COMM must flow through comm_mode() into TrainConfig's default so
-  // the environment axis works without touching config code.
+  // MGGCN_COMM must reach TrainConfig's default so the environment axis
+  // works without touching config code.
   ScopedEnv env("MGGCN_COMM", "compact");
-  const auto parsed = comm::parse_comm_mode("compact");
-  ASSERT_TRUE(parsed.has_value());
-  comm::ScopedCommMode scoped(*parsed);
-  core::ScopedPlanMode plan(core::PlanMode::k1D);  // audit the 1D exchange
+  core::TrainConfig config;
+  EXPECT_EQ(config.comm_mode, comm::CommMode::kCompact);
+  config.plan_mode = core::PlanMode::k1D;  // audit the 1D exchange
   const graph::Dataset ds = small_dataset();
   sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
-  core::MgGcnTrainer trainer(machine, ds, core::TrainConfig{});
+  core::MgGcnTrainer trainer(machine, ds, config);
   const auto stats = trainer.train_epoch();
   EXPECT_GT(stats.comm_compact_stages, 0);
   EXPECT_EQ(stats.comm_dense_stages, 0);

@@ -22,7 +22,8 @@ namespace {
 
 struct Fixture {
   Fixture(int gpus, std::int64_t n, std::int64_t d, bool overlap,
-          sim::ExecutionMode mode = sim::ExecutionMode::kReal)
+          sim::ExecutionMode mode = sim::ExecutionMode::kReal,
+          comm::CommMode exchange = util::env_mode<comm::CommMode>())
       : machine(sim::dgx_v100(), gpus, mode),
         comm(machine),
         partition(PartitionVector::uniform(n, gpus)),
@@ -36,7 +37,7 @@ struct Fixture {
              .normalize_gcn()
              .transpose();
     spmm = std::make_unique<DistSpmm>(machine, comm,
-                                      make_tile_grid(op, partition));
+                                      make_tile_grid(op, partition), exchange);
     for (int r = 0; r < gpus; ++r) {
       sim::Device& dev = machine.device(r);
       const auto block = static_cast<std::size_t>(partition.size(r) * d);
@@ -158,10 +159,9 @@ TEST(DistSpmm, OverlapReducesSimulatedTime) {
 TEST(DistSpmm, TraceContainsAllStages) {
   // Pin the dense exchange so the comm-record count below is exactly the
   // broadcast schedule, independent of the MGGCN_COMM environment.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
   const int gpus = 4;
-  Fixture fx(gpus, 512, 8, /*overlap=*/false,
-             sim::ExecutionMode::kPhantom);
+  Fixture fx(gpus, 512, 8, /*overlap=*/false, sim::ExecutionMode::kPhantom,
+             comm::CommMode::kDense);
   fx.run();
   fx.machine.synchronize();
 
@@ -246,8 +246,7 @@ TEST(DistSpmm, CompactMatchesDenseBitwise) {
       for (const comm::CommMode mode :
            {comm::CommMode::kDense, comm::CommMode::kCompact,
             comm::CommMode::kAuto}) {
-        comm::ScopedCommMode scoped(mode);
-        Fixture fx(gpus, n, d, overlap);
+        Fixture fx(gpus, n, d, overlap, sim::ExecutionMode::kReal, mode);
         fx.fill_input(x);
         fx.run();
         outs.push_back(fx.gather_output());
@@ -276,8 +275,8 @@ TEST(DistSpmm, AutoIsNeverSlowerThanDense) {
   double dense_time = 0.0, auto_time = 0.0;
   for (const comm::CommMode mode :
        {comm::CommMode::kDense, comm::CommMode::kAuto}) {
-    comm::ScopedCommMode scoped(mode);
-    Fixture fx(4, n, d, /*overlap=*/false, sim::ExecutionMode::kPhantom);
+    Fixture fx(4, n, d, /*overlap=*/false, sim::ExecutionMode::kPhantom,
+               mode);
     fx.run();
     fx.machine.synchronize();
     const double t0 = fx.machine.align_clocks();
@@ -296,8 +295,8 @@ TEST(DistSpmm, AccountMemoryChargesGhostMapsUnderCompact) {
   std::uint64_t dense_used = 0, compact_used = 0;
   for (const comm::CommMode mode :
        {comm::CommMode::kDense, comm::CommMode::kCompact}) {
-    comm::ScopedCommMode scoped(mode);
-    Fixture fx(4, n, d, /*overlap=*/false, sim::ExecutionMode::kPhantom);
+    Fixture fx(4, n, d, /*overlap=*/false, sim::ExecutionMode::kPhantom,
+               mode);
     const std::uint64_t before = fx.machine.device(0).memory_used();
     fx.spmm->account_memory();
     const std::uint64_t after = fx.machine.device(0).memory_used();
@@ -314,10 +313,9 @@ TEST(DistSpmm, CompactRecordsWireBytesSaved) {
   // On a sparse operator the compacted stages must put fewer bytes on the
   // wire than the dense broadcasts they replace, and the trace counters
   // must account for every stage exactly once.
-  comm::ScopedCommMode scoped(comm::CommMode::kCompact);
   const int gpus = 4;
-  Fixture fx(gpus, 2048, 32, /*overlap=*/false,
-             sim::ExecutionMode::kPhantom);
+  Fixture fx(gpus, 2048, 32, /*overlap=*/false, sim::ExecutionMode::kPhantom,
+             comm::CommMode::kCompact);
   fx.run();
   fx.machine.synchronize();
 

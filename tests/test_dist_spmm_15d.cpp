@@ -130,7 +130,6 @@ TEST(Spmm15D, Section51PerformanceRelationship) {
   // DGX-A100 switch. §5.1's regime is bandwidth-bound, so use a wide d
   // (broadcast volume >> launch/collective latencies). The arithmetic is
   // about dense broadcast volumes, so pin that exchange path.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
   const std::int64_t n = 8192, d = 4096;
   const sparse::Csr op = random_operator(n, 5);
 
@@ -146,7 +145,8 @@ TEST(Spmm15D, Section51PerformanceRelationship) {
     sim::Machine machine(profile, 8, sim::ExecutionMode::kPhantom);
     comm::Communicator comm(machine);
     const auto partition = PartitionVector::uniform(n, 8);
-    DistSpmm spmm(machine, comm, make_tile_grid(op, partition));
+    DistSpmm spmm(machine, comm, make_tile_grid(op, partition),
+                  comm::CommMode::kDense);
     std::vector<sim::DeviceBuffer> input, output, bc1, bc2;
     for (int r = 0; r < 8; ++r) {
       sim::Device& dev = machine.device(r);

@@ -209,20 +209,6 @@ TEST(KernelPolicyProperty, SpmmPoliciesBitIdenticalAtBetaZero) {
   }
 }
 
-TEST(KernelPolicy, ParseAndName) {
-  EXPECT_EQ(dense::parse_kernel_policy("naive"), dense::KernelPolicy::kNaive);
-  EXPECT_EQ(dense::parse_kernel_policy("tiled"), dense::KernelPolicy::kTiled);
-  EXPECT_EQ(dense::parse_kernel_policy("planned"),
-            dense::KernelPolicy::kPlanned);
-  EXPECT_FALSE(dense::parse_kernel_policy("blas").has_value());
-  EXPECT_STREQ(dense::kernel_policy_name(dense::KernelPolicy::kNaive),
-               "naive");
-  EXPECT_STREQ(dense::kernel_policy_name(dense::KernelPolicy::kTiled),
-               "tiled");
-  EXPECT_STREQ(dense::kernel_policy_name(dense::KernelPolicy::kPlanned),
-               "planned");
-}
-
 TEST(KernelPolicy, ScopedOverrideRestores) {
   const dense::KernelPolicy before = dense::kernel_policy();
   {
@@ -371,7 +357,7 @@ TEST(KernelPolicy, MultiDeviceTrainerMatchesReferenceUnderAllPolicies) {
       const auto dist = trainer.train_epoch();
       const auto ref = reference.train_epoch();
       EXPECT_NEAR(dist.loss, ref.loss, 1e-3 * std::max(1.0, ref.loss))
-          << dense::kernel_policy_name(policy) << ", epoch " << epoch;
+          << util::mode_name(policy) << ", epoch " << epoch;
     }
   }
 }

@@ -1,6 +1,6 @@
-// Locality-aware partitioner tests: the MGGCN_PART registry, cut/ghost
-// accounting against a brute-force recount, the balance-slack contract,
-// hierarchical (multi-node) behaviour, kAuto's pricing, and the trainer's
+// Locality-aware partitioner tests: cut/ghost accounting against a
+// brute-force recount, the balance-slack contract, hierarchical
+// (multi-node) behaviour, kAuto's pricing, and the trainer's
 // bit-determinism within one mode.
 #include <gtest/gtest.h>
 
@@ -91,22 +91,6 @@ PartitionCutStats brute_force_stats(const sparse::Csr& a,
   return stats;
 }
 
-TEST(PartModeRegistry, RoundTripsAndRejectsUnknown) {
-  const PartMode modes[] = {PartMode::kRandom, PartMode::kBalanced,
-                            PartMode::kLocality, PartMode::kHier,
-                            PartMode::kAuto};
-  for (const PartMode mode : modes) {
-    const auto parsed = parse_part_mode(part_mode_name(mode));
-    ASSERT_TRUE(parsed.has_value()) << part_mode_name(mode);
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(parse_part_mode("metis").has_value());
-  EXPECT_FALSE(parse_part_mode("").has_value());
-
-  ScopedPartMode scoped(PartMode::kLocality);
-  EXPECT_EQ(part_mode(), PartMode::kLocality);
-}
-
 TEST(Partitioner, PermIsBijectionAndPartitionCoversEveryMode) {
   const sparse::Csr a = clustered_graph(500);
   const PartMode modes[] = {PartMode::kRandom, PartMode::kBalanced,
@@ -119,7 +103,7 @@ TEST(Partitioner, PermIsBijectionAndPartitionCoversEveryMode) {
     opt.seed = 3;
     const PartitionResult result = plan_partition(a, mode, opt);
     ASSERT_EQ(result.perm.size(), static_cast<std::size_t>(a.rows()))
-        << part_mode_name(mode);
+        << util::mode_name(mode);
     std::vector<std::uint8_t> hit(result.perm.size(), 0);
     for (const std::uint32_t v : result.perm) {
       ASSERT_LT(v, hit.size());
@@ -180,7 +164,7 @@ TEST(Partitioner, CutStatsMatchBruteForceAndGridRecount) {
         partition_cut_stats(a, result.perm, result.partition, 2);
     const PartitionCutStats brute =
         brute_force_stats(a, result.perm, result.partition, 2);
-    EXPECT_EQ(fast.cut_edges, brute.cut_edges) << part_mode_name(mode);
+    EXPECT_EQ(fast.cut_edges, brute.cut_edges) << util::mode_name(mode);
     EXPECT_EQ(fast.inter_node_cut_edges, brute.inter_node_cut_edges);
     EXPECT_EQ(fast.ghost_rows, brute.ghost_rows);
     EXPECT_EQ(fast.inter_node_ghost_rows, brute.inter_node_ghost_rows);
@@ -254,7 +238,7 @@ TEST(Partitioner, SameSeedIsBitwiseDeterministic) {
     opt.seed = 31;
     const PartitionResult a1 = plan_partition(a, mode, opt);
     const PartitionResult a2 = plan_partition(a, mode, opt);
-    EXPECT_EQ(a1.perm, a2.perm) << part_mode_name(mode);
+    EXPECT_EQ(a1.perm, a2.perm) << util::mode_name(mode);
     EXPECT_EQ(a1.mode, a2.mode);
   }
 }
@@ -308,7 +292,7 @@ TEST(TrainerPartitioner, SameModeIsBitwiseDeterministic) {
         losses[run].push_back(trainer.train_epoch().loss);
       }
     }
-    EXPECT_EQ(losses[0], losses[1]) << part_mode_name(mode);
+    EXPECT_EQ(losses[0], losses[1]) << util::mode_name(mode);
   }
 }
 

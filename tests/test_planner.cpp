@@ -101,10 +101,10 @@ TEST(Planner, TrainerLossesBitIdenticalAcrossPlanModes) {
         // Bit-identical, not approximately equal: every executor
         // accumulates in ascending stage order.
         EXPECT_EQ(base[ee].loss, other[ee].loss)
-            << core::plan_mode_name(mode) << ", overlap " << overlap
+            << util::mode_name(mode) << ", overlap " << overlap
             << ", epoch " << e;
         EXPECT_EQ(base[ee].train_accuracy, other[ee].train_accuracy)
-            << core::plan_mode_name(mode) << ", overlap " << overlap
+            << util::mode_name(mode) << ", overlap " << overlap
             << ", epoch " << e;
       }
     }
@@ -222,12 +222,9 @@ TEST(Planner, HazardFreeUnderCheckerAndSchedFuzz) {
 }
 
 TEST(Planner, ScopedPlanModeReachesDefaultConfiguredTrainer) {
-  // MGGCN_PLAN must flow through plan_mode() into TrainConfig's default so
-  // the environment axis works without touching config code.
+  // MGGCN_PLAN must reach TrainConfig's default so the environment axis
+  // works without touching config code.
   ScopedEnv env("MGGCN_PLAN", "replicated");
-  const auto parsed = core::parse_plan_mode("replicated");
-  ASSERT_TRUE(parsed.has_value());
-  core::ScopedPlanMode scoped(*parsed);
   const graph::Dataset ds = small_dataset();
   sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
   core::MgGcnTrainer trainer(machine, ds, core::TrainConfig{});

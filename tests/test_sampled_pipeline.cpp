@@ -248,6 +248,22 @@ TEST(SampledPipeline, RejectsMismatchedFanout) {
   EXPECT_THROW(SampledPipeline(machine, ds, options), InvalidArgumentError);
 }
 
+TEST(SampledPipeline, RejectsCacheCapacityOutsideUnitInterval) {
+  // The same range MGGCN_CACHE_CAP enforces on the environment.
+  const graph::Dataset ds = sampled_dataset(300);
+  sim::Machine machine(sim::dgx_v100(), 2, sim::ExecutionMode::kReal);
+  SampledPipeline::Options options = small_options();
+  for (const double bad : {-0.1, 1.5}) {
+    options.cache_capacity_fraction = bad;
+    EXPECT_THROW(SampledPipeline(machine, ds, options), InvalidArgumentError)
+        << bad;
+  }
+  for (const double edge : {0.0, 1.0}) {
+    options.cache_capacity_fraction = edge;
+    EXPECT_NO_THROW(SampledPipeline(machine, ds, options)) << edge;
+  }
+}
+
 TEST(SampledPipeline, PhantomModeRunsStructurally) {
   // Scale runs use phantom execution: no feature/label storage, but the
   // schedule, counters, and timing must still materialize.

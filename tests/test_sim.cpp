@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -222,6 +224,48 @@ TEST(Trace, RecordsAndAggregates) {
   const auto busy = machine.trace().busy_by_kind();
   ASSERT_TRUE(busy.count(TaskKind::kSpMM));
   EXPECT_NEAR(busy.at(TaskKind::kSpMM), 1e-3 + 8e-6, 1e-6);
+}
+
+TEST(Trace, BusyByKindSinceMatchesBruteForceOnInterleavedDevices) {
+  // Records land in completion order, so t_begin is not sorted across
+  // devices: device 0 runs ahead of device 1 here, and a long task on
+  // device 2 begins before many records that precede it in the trace.
+  Trace trace;
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> dur(1e-6, 1e-4);
+  double clock[3] = {0.5, 0.0, 0.2};
+  for (int i = 0; i < 600; ++i) {
+    const int device = static_cast<int>(rng() % 3);
+    TraceRecord rec;
+    rec.device = device;
+    rec.kind = static_cast<TaskKind>(rng() % 4);
+    rec.t_begin = clock[device];
+    rec.t_end = rec.t_begin + (device == 2 && i % 97 == 0 ? 0.3 : dur(rng));
+    clock[device] = rec.t_end;
+    trace.record(rec);
+  }
+  const std::vector<TraceRecord> all = trace.records();
+  std::vector<double> marks = {-1.0, 0.0, 0.25, 0.5, 0.75, 1e9};
+  for (std::size_t i = 0; i < all.size(); i += 37) {
+    marks.push_back(all[i].t_begin);
+  }
+  for (const double since : marks) {
+    std::map<TaskKind, double> want;
+    for (const TraceRecord& rec : all) {
+      if (rec.t_begin >= since) want[rec.kind] += rec.duration();
+    }
+    EXPECT_EQ(trace.busy_by_kind(since), want) << "since " << since;
+    for (int device = 0; device < 3; ++device) {
+      std::size_t want_count = 0;
+      for (const TraceRecord& rec : all) {
+        want_count += rec.device == device && rec.t_begin >= since;
+      }
+      EXPECT_EQ(trace.device_records(device, since).size(), want_count)
+          << "since " << since << " device " << device;
+    }
+  }
+  trace.clear();
+  EXPECT_TRUE(trace.busy_by_kind(0.0).empty());
 }
 
 TEST(Trace, TimelineRendering) {

@@ -171,9 +171,6 @@ TEST(TrainerSim, MoreDevicesReduceEpochTimeOnLargeGraphs) {
   // the §5.2 random permutation: a forced MGGCN_PART=locality run trades
   // up to the 1.15 slack of nnz balance for a cut the dense broadcast
   // cannot monetize, bending exactly the curve asserted here.
-  comm::ScopedCommMode dense_mode(comm::CommMode::kDense);
-  core::ScopedPlanMode plan_1d(core::PlanMode::k1D);
-  core::ScopedPartMode part_random(core::PartMode::kRandom);
   graph::DatasetSpec spec = graph::arxiv();
   graph::DatasetOptions options;
   options.scale = 8.0;
@@ -186,7 +183,11 @@ TEST(TrainerSim, MoreDevicesReduceEpochTimeOnLargeGraphs) {
   for (const int gpus : {1, 2, 4, 8}) {
     sim::Machine machine(sim::dgx_v100(), gpus,
                          sim::ExecutionMode::kPhantom);
-    MgGcnTrainer trainer(machine, ds, model_hidden512());
+    TrainConfig config = model_hidden512();
+    config.comm_mode = comm::CommMode::kDense;
+    config.plan_mode = PlanMode::k1D;
+    config.part_mode = PartMode::kRandom;
+    MgGcnTrainer trainer(machine, ds, config);
     trainer.train_epoch();
     times.push_back(trainer.train_epoch().sim_seconds);
   }
@@ -232,7 +233,11 @@ TEST(TrainerSim, EpochTimeIsDeterministic) {
   std::vector<double> times;
   for (int run = 0; run < 3; ++run) {
     sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kPhantom);
-    MgGcnTrainer trainer(machine, ds, model_hidden512());
+    TrainConfig config = model_hidden512();
+    config.comm_mode = comm::CommMode::kDense;
+    config.plan_mode = PlanMode::k1D;
+    config.part_mode = PartMode::kRandom;
+    MgGcnTrainer trainer(machine, ds, config);
     trainer.train_epoch();
     times.push_back(trainer.train_epoch().sim_seconds);
   }

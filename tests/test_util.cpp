@@ -1,15 +1,28 @@
 // Unit tests for the util substrate: deterministic RNG, CLI parsing,
-// tables, formatting, and the blocking queue the stream workers use.
+// tables, formatting, the blocking queue the stream workers use, and the
+// mode tables of every configuration enum.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "comm/comm_mode.hpp"
+#include "core/cache_mode.hpp"
+#include "core/inference_server.hpp"
+#include "core/part_mode.hpp"
+#include "core/plan_mode.hpp"
+#include "core/serve_mode.hpp"
+#include "dense/kernel_policy.hpp"
+#include "mem/pool_mode.hpp"
 #include "util/blocking_queue.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/mode.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -281,6 +294,71 @@ TEST(Env, EnumTypoFailsLoudlyNamingKnobAndTokens) {
     EXPECT_NE(what.find("blu"), std::string::npos);
   }
   unsetenv("MGGCN_TEST_ENUM");
+}
+
+/// Every row of ModeTable<E>: name -> parse round trip, rows in
+/// enumerator order (dispatch tables index by value), unique names, and
+/// unknown/empty tokens rejected. Tables with an environment knob must
+/// also fall back when it is unset and fail loudly on a typo, naming the
+/// knob and every legal token.
+template <typename E>
+void expect_mode_table_contract() {
+  using Table = ModeTable<E>;
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < mode_count<E>(); ++i) {
+    const ModeRow<E>& row = Table::rows[i];
+    EXPECT_EQ(static_cast<std::size_t>(row.value), i) << row.name;
+    EXPECT_STREQ(mode_name(row.value), row.name);
+    EXPECT_EQ(parse_mode<E>(row.name), row.value) << row.name;
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate " << row.name;
+    EXPECT_FALSE(parse_mode<E>(std::string(row.name) + "x").has_value());
+  }
+  EXPECT_FALSE(parse_mode<E>("").has_value());
+  EXPECT_FALSE(parse_mode<E>("bogus").has_value());
+
+  if constexpr (requires { Table::env; }) {
+    const char* knob = Table::env;
+    const char* set = std::getenv(knob);
+    const std::optional<std::string> saved =
+        set ? std::optional<std::string>(set) : std::nullopt;
+    unsetenv(knob);
+    EXPECT_EQ(env_mode<E>(), Table::fallback) << knob;
+    const ModeRow<E>& last = Table::rows[mode_count<E>() - 1];
+    setenv(knob, last.name, 1);
+    EXPECT_EQ(env_mode<E>(), last.value) << knob;
+    setenv(knob, "bogus", 1);
+    try {
+      (void)env_mode<E>();
+      ADD_FAILURE() << knob << "=bogus was accepted";
+    } catch (const InvalidArgumentError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(knob), std::string::npos) << what;
+      EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+      for (const ModeRow<E>& row : Table::rows) {
+        EXPECT_NE(what.find("'" + std::string(row.name) + "'"),
+                  std::string::npos)
+            << what;
+      }
+    }
+    if (saved) {
+      setenv(knob, saved->c_str(), 1);
+    } else {
+      unsetenv(knob);
+    }
+  }
+}
+
+template <typename... E>
+void expect_mode_tables_contract() {
+  (expect_mode_table_contract<E>(), ...);
+}
+
+TEST(ModeTable, EveryTableRoundTripsAndEnvTyposNameTheirTokens) {
+  expect_mode_tables_contract<dense::KernelPolicy, comm::CommMode,
+                              core::PlanMode, core::PartMode, core::CacheMode,
+                              core::ServeCacheMode, mem::PoolMode,
+                              core::BatchPolicy>();
+  EXPECT_EQ(mode_tokens<comm::CommMode>(), "'dense', 'compact', or 'auto'");
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -7,6 +7,7 @@
 // MGGCN_POOL=off|on|auto × sched-fuzz seeds for all three tenants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -239,40 +240,50 @@ TEST(DeviceLedger, ReleaseUnderflowIsCounted) {
 
 // --- the documented L+3 slope --------------------------------------------
 
-std::uint64_t trainer_used_bytes(const graph::Dataset& ds, int hidden_layers,
-                                 mem::PoolMode mode) {
+/// Per-device memory in use after constructing a trainer.
+std::vector<std::uint64_t> trainer_used_per_device(const graph::Dataset& ds,
+                                                   int hidden_layers,
+                                                   mem::PoolMode mode) {
   core::TrainConfig config = small_config();
   config.hidden_dims.assign(static_cast<std::size_t>(hidden_layers), 16);
   config.pool_mode = mode;
   sim::Machine machine(sim::dgx_v100(), 2, sim::ExecutionMode::kPhantom);
   core::MgGcnTrainer trainer(machine, ds, config);
-  std::uint64_t used = 0;
+  std::vector<std::uint64_t> used;
   for (int r = 0; r < machine.num_devices(); ++r) {
-    used = std::max(used, machine.device(r).memory_used());
+    used.push_back(machine.device(r).memory_used());
   }
   return used;
+}
+
+std::uint64_t trainer_used_bytes(const graph::Dataset& ds, int hidden_layers,
+                                 mem::PoolMode mode) {
+  const auto used = trainer_used_per_device(ds, hidden_layers, mode);
+  return *std::max_element(used.begin(), used.end());
 }
 
 TEST(PoolAccounting, LPlusThreeSlopeUnchangedUnderOff) {
   const graph::Dataset ds = small_dataset();
   // Adding one hidden layer (width h) to the L+3 scheme adds exactly one
-  // activation buffer (rows0 x h) plus the layer's replicated model state
-  // (W, Wg, m, v: four h x h matrices). Everything else — X, HW, the
-  // broadcast slots — is sized by maxima that a constant-width chain does
-  // not move.
-  const std::uint64_t l2 = trainer_used_bytes(ds, 2, mem::PoolMode::kOff);
-  const std::uint64_t l3 = trainer_used_bytes(ds, 3, mem::PoolMode::kOff);
-  const std::uint64_t l4 = trainer_used_bytes(ds, 4, mem::PoolMode::kOff);
+  // activation buffer (rows_r x h on device r) plus the layer's replicated
+  // model state (W, Wg, m, v: four h x h matrices). Everything else — X,
+  // HW, the broadcast slots — is sized by maxima that a constant-width
+  // chain does not move. Checked per device: partitioners other than the
+  // uniform random one give the devices different row counts.
+  const auto l2 = trainer_used_per_device(ds, 2, mem::PoolMode::kOff);
+  const auto l3 = trainer_used_per_device(ds, 3, mem::PoolMode::kOff);
+  const auto l4 = trainer_used_per_device(ds, 4, mem::PoolMode::kOff);
 
   core::TrainConfig probe = small_config();
   sim::Machine machine(sim::dgx_v100(), 2, sim::ExecutionMode::kPhantom);
   core::MgGcnTrainer trainer(machine, ds, probe);
-  const std::int64_t rows0 = trainer.partition().size(0);
-  const std::uint64_t expected = (static_cast<std::uint64_t>(rows0) * 16 +
-                                  4ull * 16 * 16) *
-                                 kF;
-  EXPECT_EQ(l3 - l2, expected);
-  EXPECT_EQ(l4 - l3, expected);
+  for (std::size_t r = 0; r < l2.size(); ++r) {
+    const std::int64_t rows = trainer.partition().size(static_cast<int>(r));
+    const std::uint64_t expected =
+        (static_cast<std::uint64_t>(rows) * 16 + 4ull * 16 * 16) * kF;
+    EXPECT_EQ(l3[r] - l2[r], expected) << "device " << r;
+    EXPECT_EQ(l4[r] - l3[r], expected) << "device " << r;
+  }
 }
 
 TEST(PoolAccounting, PooledPeakMatchesStaticForTheTrainer) {
