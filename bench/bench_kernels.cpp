@@ -4,17 +4,17 @@
 // the *real* host implementations (the ones the correctness tests train
 // with), not the simulated-time model.
 //
-// The policy-dispatched kernels are registered once per KernelPolicy
-// (".../naive/...", ".../tiled/...", and for SpMM ".../planned/...") and
-// swept over feature dimensions d in {32, 128, 512}, each reporting a
-// flops_per_s counter — the stable unit scripts/check_perf.py gates CI perf
-// regressions on. The GeMM benches stay {naive, tiled}: the planned policy
-// shares the tiled dense kernels, so planned rows would be duplicates.
-// Planned SpMM rows additionally report plan_build_s (the one-time
-// inspector cost), and SpmmAmortized rows measure one inspection plus a
-// burst of executions — the shape a training run actually sees. SpmmSkew
-// rows use a heavy-tailed (lognormal sigma = 2) degree distribution, the
-// regime the degree-binned executors are built for. Emit JSON with
+// Each kernel is registered next to its naive reference: SpMM rows as
+// ".../naive/..." (sparse::naive::spmm) and ".../planned/..." (sparse::spmm,
+// the inspector-executor), GeMM rows as ".../naive/..." and ".../tiled/..."
+// (the dense::gemm* kernels). Each is swept over feature dimensions d in
+// {32, 128, 512} and reports a flops_per_s counter — the stable unit
+// scripts/check_perf.py gates CI perf regressions on. Planned SpMM rows
+// additionally report plan_build_s (the one-time inspector cost), and
+// SpmmAmortized rows measure one inspection plus a burst of executions —
+// the shape a training run actually sees. SpmmSkew rows use a heavy-tailed
+// (lognormal sigma = 2) degree distribution, the regime the degree-binned
+// executor is built for. Emit JSON with
 //   bench_kernels --benchmark_format=json --benchmark_out=kernels.json
 #include <benchmark/benchmark.h>
 
@@ -23,7 +23,6 @@
 #include <string>
 
 #include "core/gcn_kernels.hpp"
-#include "dense/kernel_policy.hpp"
 #include "dense/kernels.hpp"
 #include "graph/generators.hpp"
 #include "sparse/sddmm.hpp"
@@ -36,11 +35,32 @@ using namespace mggcn;
 namespace {
 
 constexpr std::int64_t kFeatureSweep[] = {32, 128, 512};
-constexpr dense::KernelPolicy kPolicies[] = {dense::KernelPolicy::kNaive,
-                                             dense::KernelPolicy::kTiled};
-constexpr dense::KernelPolicy kSpmmPolicies[] = {dense::KernelPolicy::kNaive,
-                                                 dense::KernelPolicy::kTiled,
-                                                 dense::KernelPolicy::kPlanned};
+
+using SpmmFn = void (*)(const sparse::Csr&, dense::ConstMatrixView,
+                        dense::MatrixView, float, float);
+using GemmFn = void (*)(dense::ConstMatrixView, dense::ConstMatrixView,
+                        dense::MatrixView, float, float);
+using MaskedGemmFn = void (*)(dense::ConstMatrixView, dense::ConstMatrixView,
+                              dense::MatrixView);
+
+struct SpmmKernel {
+  const char* tag;
+  SpmmFn spmm;
+};
+constexpr SpmmKernel kSpmmKernels[] = {{"naive", &sparse::naive::spmm},
+                                       {"planned", &sparse::spmm}};
+
+struct GemmKernels {
+  const char* tag;
+  GemmFn gemm;
+  GemmFn gemm_at_b;
+  MaskedGemmFn gemm_a_bt_relu_masked;
+};
+constexpr GemmKernels kGemmKernels[] = {
+    {"naive", &dense::naive::gemm, &dense::naive::gemm_at_b,
+     &dense::naive::gemm_a_bt_relu_masked},
+    {"tiled", &dense::tiled::gemm, &dense::tiled::gemm_at_b,
+     &dense::tiled::gemm_a_bt_relu_masked}};
 
 sparse::Csr random_graph(std::int64_t n, double degree,
                          double degree_sigma = 1.0) {
@@ -67,13 +87,12 @@ void set_flops_counter(benchmark::State& state, double flops_per_iteration) {
       benchmark::Counter::kIs1000);
 }
 
-void bm_spmm(benchmark::State& state, dense::KernelPolicy policy,
-             std::int64_t n, std::int64_t d, double degree_sigma) {
-  dense::ScopedKernelPolicy scope(policy);
+void bm_spmm(benchmark::State& state, SpmmFn spmm, std::int64_t n,
+             std::int64_t d, double degree_sigma) {
   const sparse::Csr a = random_graph(n, 16.0, degree_sigma);
   const dense::HostMatrix b = random_matrix(n, d);
   dense::HostMatrix c(n, d);
-  if (policy == dense::KernelPolicy::kPlanned) {
+  if (spmm == &sparse::spmm) {
     // Measure the one-time inspector cost explicitly, then pre-warm the
     // process-wide plan cache so the timed loop sees the steady state a
     // training run sees (plan hit on every call).
@@ -86,7 +105,7 @@ void bm_spmm(benchmark::State& state, dense::KernelPolicy policy,
     sparse::spmm(a, b.view(), c.view());
   }
   for (auto _ : state) {
-    sparse::spmm(a, b.view(), c.view());
+    spmm(a, b.view(), c.view(), 1.0f, 0.0f);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * a.nnz() * d);
@@ -116,36 +135,33 @@ void bm_spmm_amortized(benchmark::State& state, std::int64_t n,
                  static_cast<double>(a.nnz() * d));
 }
 
-void bm_gemm(benchmark::State& state, dense::KernelPolicy policy,
-             std::int64_t m, std::int64_t d) {
-  dense::ScopedKernelPolicy scope(policy);
+void bm_gemm(benchmark::State& state, GemmFn gemm, std::int64_t m,
+             std::int64_t d) {
   const dense::HostMatrix a = random_matrix(m, d);
   const dense::HostMatrix b = random_matrix(d, d);
   dense::HostMatrix c(m, d);
   for (auto _ : state) {
-    dense::gemm(a.view(), b.view(), c.view());
+    gemm(a.view(), b.view(), c.view(), 1.0f, 0.0f);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * d * d);
   set_flops_counter(state, 2.0 * static_cast<double>(m * d * d));
 }
 
-void bm_gemm_at_b(benchmark::State& state, dense::KernelPolicy policy,
-                  std::int64_t m, std::int64_t d) {
-  dense::ScopedKernelPolicy scope(policy);
+void bm_gemm_at_b(benchmark::State& state, GemmFn gemm_at_b, std::int64_t m,
+                  std::int64_t d) {
   const dense::HostMatrix a = random_matrix(m, d);
   const dense::HostMatrix b = random_matrix(m, d);
   dense::HostMatrix c(d, d);
   for (auto _ : state) {
-    dense::gemm_at_b(a.view(), b.view(), c.view());
+    gemm_at_b(a.view(), b.view(), c.view(), 1.0f, 0.0f);
     benchmark::DoNotOptimize(c.data());
   }
   set_flops_counter(state, 2.0 * static_cast<double>(m * d * d));
 }
 
-void bm_gemm_a_bt_masked(benchmark::State& state, dense::KernelPolicy policy,
+void bm_gemm_a_bt_masked(benchmark::State& state, MaskedGemmFn masked,
                          std::int64_t m, std::int64_t d) {
-  dense::ScopedKernelPolicy scope(policy);
   const dense::HostMatrix a = random_matrix(m, d);
   const dense::HostMatrix w = random_matrix(d, d);
   const dense::HostMatrix activation = random_matrix(m, d);
@@ -154,29 +170,29 @@ void bm_gemm_a_bt_masked(benchmark::State& state, dense::KernelPolicy policy,
     state.PauseTiming();
     c = activation;  // the mask is consumed in place each iteration
     state.ResumeTiming();
-    dense::gemm_a_bt_relu_masked(a.view(), w.view(), c.view());
+    masked(a.view(), w.view(), c.view());
     benchmark::DoNotOptimize(c.data());
   }
   set_flops_counter(state, 2.0 * static_cast<double>(m * d * d));
 }
 
-void register_policy_benchmarks() {
-  for (const auto policy : kSpmmPolicies) {
-    const std::string tag = util::mode_name(policy);
+void register_kernel_benchmarks() {
+  for (const auto& kernel : kSpmmKernels) {
+    const std::string tag = kernel.tag;
     for (const std::int64_t d : kFeatureSweep) {
       for (const std::int64_t n : {4096, 16384}) {
         benchmark::RegisterBenchmark(
             ("Spmm/" + tag + "/n:" + std::to_string(n) +
              "/d:" + std::to_string(d))
                 .c_str(),
-            bm_spmm, policy, n, d, /*degree_sigma=*/1.0);
+            bm_spmm, kernel.spmm, n, d, /*degree_sigma=*/1.0);
       }
       // The heavy-tailed case (hub rows next to near-empty ones) only at
-      // the large size: this is the distribution the planned policy's
+      // the large size: this is the distribution the planned executor's
       // degree bins target, and what the CI skew gate keys on.
       benchmark::RegisterBenchmark(
           ("SpmmSkew/" + tag + "/n:16384/d:" + std::to_string(d)).c_str(),
-          bm_spmm, policy, 16384, d, /*degree_sigma=*/2.0);
+          bm_spmm, kernel.spmm, 16384, d, /*degree_sigma=*/2.0);
     }
   }
   for (const std::int64_t d : kFeatureSweep) {
@@ -184,23 +200,23 @@ void register_policy_benchmarks() {
         ("SpmmAmortized/planned/n:16384/d:" + std::to_string(d)).c_str(),
         bm_spmm_amortized, 16384, d);
   }
-  for (const auto policy : kPolicies) {
-    const std::string tag = util::mode_name(policy);
+  for (const auto& kernels : kGemmKernels) {
+    const std::string tag = kernels.tag;
     for (const std::int64_t d : kFeatureSweep) {
       benchmark::RegisterBenchmark(
           ("Gemm/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(), bm_gemm,
-          policy, 2048, d);
+          kernels.gemm, 2048, d);
       benchmark::RegisterBenchmark(
           ("GemmAtB/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(),
-          bm_gemm_at_b, policy, 2048, d);
+          bm_gemm_at_b, kernels.gemm_at_b, 2048, d);
       benchmark::RegisterBenchmark(
           ("GemmABtMasked/" + tag + "/m:2048/d:" + std::to_string(d)).c_str(),
-          bm_gemm_a_bt_masked, policy, 2048, d);
+          bm_gemm_a_bt_masked, kernels.gemm_a_bt_relu_masked, 2048, d);
     }
   }
 }
 
-// --- policy-independent kernels (sparse attention, elementwise, optimizer) --
+// --- kernels without a naive twin (sparse attention, elementwise, optimizer)
 
 void BM_Sddmm(benchmark::State& state) {
   const auto n = state.range(0);
@@ -276,7 +292,7 @@ BENCHMARK(BM_Adam)->Arg(1 << 14)->Arg(1 << 18);
 }  // namespace
 
 int main(int argc, char** argv) {
-  register_policy_benchmarks();
+  register_kernel_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

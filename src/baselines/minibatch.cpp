@@ -6,6 +6,7 @@
 #include "core/trainer.hpp"
 #include "dense/kernels.hpp"
 #include "sparse/spmm.hpp"
+#include "sparse/spmm_plan.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::baselines {
@@ -95,7 +96,9 @@ MiniBatchTrainer::EpochResult MiniBatchTrainer::train_epoch() {
           sub.blocks[static_cast<std::size_t>(layers - 1 - l)];
       h_cache.push_back(std::move(h));
       dense::HostMatrix z(block.rows(), dims_[static_cast<std::size_t>(l)]);
-      sparse::spmm(block, h_cache.back().view(), z.view());
+      // Per-batch blocks are multiplied once: no plan-cache entry.
+      sparse::SpmmPlan::inspect(block).execute(block, h_cache.back().view(),
+                                               z.view(), 1.0f, 0.0f);
       dense::HostMatrix out(block.rows(),
                             dims_[static_cast<std::size_t>(l) + 1]);
       dense::gemm(z.view(), weights_[static_cast<std::size_t>(l)].view(),
@@ -141,7 +144,8 @@ MiniBatchTrainer::EpochResult MiniBatchTrainer::train_epoch() {
         dense::gemm_a_bt(grad.view(), weights_[ll].view(), dz.view());
         const sparse::Csr block_t = block.transpose();
         dense::HostMatrix dh(block_t.rows(), dims_[ll]);
-        sparse::spmm(block_t, dz.view(), dh.view());
+        sparse::SpmmPlan::inspect(block_t).execute(block_t, dz.view(),
+                                                   dh.view(), 1.0f, 0.0f);
         dense::relu_backward(dh.data(), h_cache[ll].data(), dh.data(),
                              dh.size());
         grad = std::move(dh);

@@ -18,10 +18,10 @@ void write_pod(std::ofstream& os, const T& value) {
 }
 
 template <typename T>
-T read_pod(std::ifstream& is) {
+T read_pod(std::ifstream& is, const std::string& path) {
   T value{};
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated checkpoint");
+  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated checkpoint: " + path);
   return value;
 }
 
@@ -31,11 +31,11 @@ void write_matrix(std::ofstream& os, const dense::HostMatrix& m) {
 }
 
 dense::HostMatrix read_matrix(std::ifstream& is, std::int64_t rows,
-                              std::int64_t cols) {
+                              std::int64_t cols, const std::string& path) {
   dense::HostMatrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
-  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated checkpoint");
+  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated checkpoint: " + path);
   return m;
 }
 
@@ -65,26 +65,39 @@ void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   MGGCN_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
+  const auto file_bytes = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
 
   char magic[8];
   is.read(magic, sizeof(magic));
   MGGCN_CHECK_MSG(is && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
                   "bad checkpoint magic in " + path);
-  const auto version = read_pod<std::uint32_t>(is);
-  MGGCN_CHECK_MSG(version == kVersion, "unsupported checkpoint version");
+  const auto version = read_pod<std::uint32_t>(is, path);
+  MGGCN_CHECK_MSG(version == kVersion,
+                  "unsupported checkpoint version in " + path);
 
   Checkpoint checkpoint;
-  checkpoint.adam_step = read_pod<std::int32_t>(is);
-  const auto layers = read_pod<std::uint32_t>(is);
+  checkpoint.adam_step = read_pod<std::int32_t>(is, path);
+  const auto layers = read_pod<std::uint32_t>(is, path);
   for (std::uint32_t l = 0; l < layers; ++l) {
-    const auto rows = read_pod<std::int64_t>(is);
-    const auto cols = read_pod<std::int64_t>(is);
-    MGGCN_CHECK_MSG(rows > 0 && cols > 0, "corrupt checkpoint shape");
-    checkpoint.weights.push_back(read_matrix(is, rows, cols));
-    checkpoint.adam_m.push_back(read_matrix(is, rows, cols));
-    checkpoint.adam_v.push_back(read_matrix(is, rows, cols));
+    const auto rows = read_pod<std::int64_t>(is, path);
+    const auto cols = read_pod<std::int64_t>(is, path);
+    MGGCN_CHECK_MSG(rows > 0 && cols > 0,
+                    "corrupt checkpoint shape in " + path);
+    // The layer's three rows x cols float matrices must fit in what is
+    // left of the file before any of them is allocated.
+    const std::uint64_t left =
+        (file_bytes - static_cast<std::uint64_t>(is.tellg())) / 12;
+    MGGCN_CHECK_MSG(static_cast<std::uint64_t>(rows) <= left &&
+                        static_cast<std::uint64_t>(cols) <=
+                            left / static_cast<std::uint64_t>(rows),
+                    "checkpoint layer shape exceeds the file length of " +
+                        path);
+    checkpoint.weights.push_back(read_matrix(is, rows, cols, path));
+    checkpoint.adam_m.push_back(read_matrix(is, rows, cols, path));
+    checkpoint.adam_v.push_back(read_matrix(is, rows, cols, path));
   }
   return checkpoint;
 }

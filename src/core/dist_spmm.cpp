@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "dense/kernel_policy.hpp"
 #include "dense/matrix.hpp"
 #include "sparse/spmm.hpp"
 #include "sparse/spmm_plan.hpp"
@@ -101,22 +100,14 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
   result.done.resize(np);
   result.input_released.resize(np);
 
-  // Under the planned kernel policy every tile executes through its cached
-  // SpmmPlan. Plans are resolved here on the enqueue thread (TileGrid's lazy
-  // build is not thread-safe) and the one-time inspector cost is charged to
-  // the owning device's compute stream the first time a tile's plan is
-  // built — every later product reuses the plan for free. The compacted
-  // exchange also needs the plans (their ghost sets drive the packing and
-  // the per-stage dense/compact decision), so compact and auto modes
-  // resolve them under every kernel policy — but only compact-path
-  // *execution* goes through the plan then; dense-path SpMMs keep the
-  // policy-dispatched kernels.
-  const bool policy_plans =
-      dense::kernel_policy() == dense::KernelPolicy::kPlanned;
-  const bool compact_capable = mode_ != comm::CommMode::kDense && p > 1;
-  const bool use_plans = policy_plans || compact_capable;
+  // Every tile executes through its cached SpmmPlan. Plans are resolved
+  // here on the enqueue thread (TileGrid's lazy build is not thread-safe)
+  // and the one-time inspector cost is charged to the owning device's
+  // compute stream the first time a tile's plan is built — every later
+  // product reuses the plan for free. The compacted exchange also reads
+  // the plans' ghost sets to drive the packing and the per-stage
+  // dense/compact decision.
   auto resolve_plan = [&](int r, int s) -> const sparse::SpmmPlan* {
-    if (!use_plans) return nullptr;
     const bool first_use = !grid_.plan_ready(r, s);
     const sparse::SpmmPlan* plan = &grid_.plan(r, s);
     if (first_use) {
@@ -150,14 +141,8 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
     float* out = io.output[0]->data();
     const std::int64_t d = io.d;
     task.body = [&tile, plan, in, out, d] {
-      if (plan != nullptr) {
-        plan->execute(tile, dense::ConstMatrixView{in, tile.cols(), d},
-                      dense::MatrixView{out, tile.rows(), d}, 1.0f, 0.0f);
-      } else {
-        sparse::spmm(tile,
-                     dense::ConstMatrixView{in, tile.cols(), d},
-                     dense::MatrixView{out, tile.rows(), d});
-      }
+      plan->execute(tile, dense::ConstMatrixView{in, tile.cols(), d},
+                    dense::MatrixView{out, tile.rows(), d}, 1.0f, 0.0f);
     };
     sim::Event done = machine_.device(0).compute_stream().enqueue(
         std::move(task));
@@ -173,12 +158,10 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
   // plans are ready and this loop enqueues nothing.
   std::vector<std::vector<const sparse::SpmmPlan*>> plans(
       np, std::vector<const sparse::SpmmPlan*>(np, nullptr));
-  if (use_plans) {
-    for (int s = 0; s < p; ++s) {
-      for (int r = 0; r < p; ++r) {
-        plans[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)] =
-            resolve_plan(r, s);
-      }
+  for (int s = 0; s < p; ++s) {
+    for (int r = 0; r < p; ++r) {
+      plans[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)] =
+          resolve_plan(r, s);
     }
   }
 
@@ -204,7 +187,7 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
     choice.inter_bytes =
         static_cast<std::uint64_t>(remote_receivers) * block_bytes;
     choice.comm_seconds = comm_.topology().broadcast_seconds(block_bytes, p);
-    if (!compact_capable) continue;
+    if (mode_ == comm::CommMode::kDense) continue;
     // The compacted payload is priced with the *actual* partition's ghost
     // sets via the same node-aggregated shape the exchange itself charges:
     // intra-node rows ride the NVLink fabric per destination, remote nodes
@@ -313,13 +296,10 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
       const sparse::Csr& tile = grid_.tile(r, s);
       const sparse::SpmmPlan* plan = plans[rr][static_cast<std::size_t>(s)];
       // Compact stages index the packed payload through the plan's ghost
-      // map (the root's own block is always dense); dense-path SpMMs keep
-      // the policy-dispatched kernels, so plans resolved only for their
-      // ghost sets don't change which executor the active MGGCN_KERNELS
-      // policy runs. Either way the per-element operation sequence is the
-      // naive reference's, so every combination is bit-identical.
+      // map (the root's own block is always dense). Either way the
+      // per-element operation sequence is the naive reference's, so both
+      // paths are bit-identical.
       const bool compact_exec = choice.compact && r != s;
-      const sparse::SpmmPlan* dense_plan = policy_plans ? plan : nullptr;
       sim::DeviceBuffer* src =
           r == s ? io.input[rr] : (slot == 0 ? io.bc1[rr] : io.bc2[rr]);
 
@@ -368,16 +348,9 @@ DistSpmm::Result DistSpmm::run(const Io& io) {
               dense::MatrixView{out, tile.rows(), d}, 1.0f, beta);
         };
       } else {
-        task.body = [&tile, dense_plan, in, out, d, beta] {
-          if (dense_plan != nullptr) {
-            dense_plan->execute(tile,
-                                dense::ConstMatrixView{in, tile.cols(), d},
-                                dense::MatrixView{out, tile.rows(), d}, 1.0f,
-                                beta);
-          } else {
-            sparse::spmm(tile, dense::ConstMatrixView{in, tile.cols(), d},
-                         dense::MatrixView{out, tile.rows(), d}, 1.0f, beta);
-          }
+        task.body = [&tile, plan, in, out, d, beta] {
+          plan->execute(tile, dense::ConstMatrixView{in, tile.cols(), d},
+                        dense::MatrixView{out, tile.rows(), d}, 1.0f, beta);
         };
       }
 

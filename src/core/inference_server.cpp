@@ -494,8 +494,10 @@ sim::Event InferenceServer::enqueue_batch(const Batch& batch, double base,
   }
 
   // 3. Inference: the batch SpMM over the gathered frontier (and the last
-  // GeMM when the layer ran SpMM-first). naive::spmm is the reference
-  // kernel every policy matches bit for bit at beta == 0.
+  // GeMM when the layer ran SpMM-first). Each batch's adjacency is built
+  // for that batch and multiplied once over a few rows, so it runs
+  // naive::spmm: bit-identical to sparse::spmm, with no inspection pass
+  // to pay and no plan left in the plan cache.
   const auto frontier_rows = static_cast<std::int64_t>(batch.frontier.size());
   double infer_seconds = 0.0;
   sim::TaskDesc spmm_task;

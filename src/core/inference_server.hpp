@@ -17,9 +17,9 @@
 // Communicator::sendv_rows_seconds, the same model training charges), with
 // an optional embedding cache of hot remote rows (core::FeatureCache
 // semantics, MGGCN_SERVE_CACHE) — and runs the reference kernels on the
-// gathered block. The kernel-policy registry's bit-identity contract
-// (sparse/spmm.hpp) makes the recomputed row equal, bit for bit, to the
-// trainer's staged forward pass at every batch size and cache mode.
+// gathered block. The SpMM bit-identity contract (sparse/spmm.hpp) makes
+// the recomputed row equal, bit for bit, to the trainer's staged forward
+// pass at every batch size and cache mode.
 //
 // Load is open-loop (serve::WorkloadGen): requests arrive on the simulated
 // clock whether or not the server keeps up, so queueing delay is measured

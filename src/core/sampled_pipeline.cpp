@@ -10,6 +10,7 @@
 #include "dense/kernels.hpp"
 #include "sim/cost_model.hpp"
 #include "sparse/spmm.hpp"
+#include "sparse/spmm_plan.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::core {
@@ -685,10 +686,12 @@ void SampledPipeline::enqueue_train(RoundState& round) {
       mem::append_ready(&spmm.waits, batch.z[ll]);  // first writer
       spmm.reads.push_back(prev->access());
       spmm.writes.push_back(batch.z[ll].access());
+      // Each round's blocks are multiplied once: inspect and execute
+      // directly rather than leave a dead plan in sparse::spmm's cache.
       spmm.body = [&batch, &block, prev, prev_rows, ll, this] {
-        sparse::spmm(block,
-                     {prev->data(), prev_rows, dims_[ll]},
-                     {batch.z[ll].data(), block.rows(), dims_[ll]});
+        sparse::SpmmPlan::inspect(block).execute(
+            block, {prev->data(), prev_rows, dims_[ll]},
+            {batch.z[ll].data(), block.rows(), dims_[ll]}, 1.0f, 0.0f);
       };
       price(spmm.cost);
       const sim::Event spmm_done = stream.enqueue(std::move(spmm));
@@ -833,9 +836,9 @@ void SampledPipeline::enqueue_train(RoundState& round) {
         spmm.reads.push_back(batch.dz[ll].access());
         spmm.writes.push_back(batch.dh[ll].access());
         spmm.body = [&batch, &block, &block_t, ll, this] {
-          sparse::spmm(block_t,
-                       {batch.dz[ll].data(), block.rows(), dims_[ll]},
-                       {batch.dh[ll].data(), block_t.rows(), dims_[ll]});
+          sparse::SpmmPlan::inspect(block_t).execute(
+              block_t, {batch.dz[ll].data(), block.rows(), dims_[ll]},
+              {batch.dh[ll].data(), block_t.rows(), dims_[ll]}, 1.0f, 0.0f);
         };
         price(spmm.cost);
         const sim::Event spmm_done = stream.enqueue(std::move(spmm));

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/error.hpp"
+
 namespace mggcn::dense {
 
 namespace {
@@ -133,22 +135,22 @@ void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
 
 void gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
           float beta) {
-  dense_kernels(kernel_policy()).gemm(a, b, c, alpha, beta);
+  tiled::gemm(a, b, c, alpha, beta);
 }
 
 void gemm_at_b(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
                float beta) {
-  dense_kernels(kernel_policy()).gemm_at_b(a, b, c, alpha, beta);
+  tiled::gemm_at_b(a, b, c, alpha, beta);
 }
 
 void gemm_a_bt(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
                float beta) {
-  dense_kernels(kernel_policy()).gemm_a_bt(a, b, c, alpha, beta);
+  tiled::gemm_a_bt(a, b, c, alpha, beta);
 }
 
 void gemm_a_bt_relu_masked(ConstMatrixView a, ConstMatrixView b,
                            MatrixView c) {
-  dense_kernels(kernel_policy()).gemm_a_bt_relu_masked(a, b, c);
+  tiled::gemm_a_bt_relu_masked(a, b, c);
 }
 
 void relu_forward(const float* in, float* out, std::int64_t n) {

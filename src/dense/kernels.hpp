@@ -1,21 +1,18 @@
 // Dense kernels (host implementations of what cuBLAS + fused elementwise
 // kernels do in the paper's system) and their cost descriptors.
 //
-// The GeMM entry points below dispatch through the kernel-policy registry
-// (kernel_policy.hpp): `naive::` holds the original reference loops and
-// `tiled::` the register-tiled, cache-blocked implementations; the
-// unqualified functions route to whichever policy is active. Call the
-// namespaced variants directly only to diff the two paths.
+// The unqualified GeMM entry points run the `tiled::` register-tiled,
+// cache-blocked implementations; `naive::` keeps the original reference
+// loops that tests diff the tiled kernels against.
 //
 // The cost functions return KernelCost records for the simulated timeline;
 // they are pure functions of the shapes so phantom-mode runs produce the
-// same schedule as real runs — the kernel policy changes wall-clock time
+// same schedule as real runs — the host kernels change wall-clock time
 // only, never the simulated timeline.
 #pragma once
 
 #include <cstdint>
 
-#include "dense/kernel_policy.hpp"
 #include "dense/matrix.hpp"
 #include "sim/cost_model.hpp"
 

@@ -1,4 +1,4 @@
-// Register-tiled, cache-blocked GeMM variants (the `tiled` kernel policy).
+// Register-tiled, cache-blocked GeMM variants (behind the dense::gemm* calls).
 //
 // Structure (what cuBLAS does on a GPU, translated to one host core):
 //   - an i x j register tile of C (kMr x kNr accumulators) lives entirely in

@@ -1,5 +1,6 @@
 #include "sparse/io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -24,19 +25,20 @@ void write_vec(std::ofstream& os, std::span<const T> values) {
 }
 
 template <typename T>
-T read_pod(std::ifstream& is) {
+T read_pod(std::ifstream& is, const std::string& path) {
   T value{};
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated csr file");
+  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated csr file: " + path);
   return value;
 }
 
 template <typename T>
-std::vector<T> read_vec(std::ifstream& is, std::size_t count) {
+std::vector<T> read_vec(std::ifstream& is, std::size_t count,
+                        const std::string& path) {
   std::vector<T> values(count);
   is.read(reinterpret_cast<char*>(values.data()),
           static_cast<std::streamsize>(count * sizeof(T)));
-  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated csr file");
+  MGGCN_CHECK_MSG(static_cast<bool>(is), "truncated csr file: " + path);
   return values;
 }
 
@@ -56,19 +58,50 @@ void write_csr(const Csr& matrix, const std::string& path) {
 }
 
 Csr read_csr(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   MGGCN_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
+  const auto file_bytes = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
   char magic[8];
   is.read(magic, sizeof(magic));
   MGGCN_CHECK_MSG(is && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
                   "bad csr magic in " + path);
-  const auto rows = read_pod<std::int64_t>(is);
-  const auto cols = read_pod<std::int64_t>(is);
-  const auto nnz = read_pod<std::int64_t>(is);
+  const auto rows = read_pod<std::int64_t>(is, path);
+  const auto cols = read_pod<std::int64_t>(is, path);
+  const auto nnz = read_pod<std::int64_t>(is, path);
+
+  // The header must describe exactly this file before anything is sized
+  // from it: row_ptr is 8 bytes per row + 1, col_idx and values 4 bytes
+  // per nonzero each. Bounding rows and nnz by the file length first keeps
+  // the size arithmetic from overflowing.
+  constexpr std::uint64_t kHeaderBytes = sizeof(kMagic) + 3 * 8;
+  MGGCN_CHECK_MSG(rows >= 0 && cols >= 0 && nnz >= 0 &&
+                      cols <= std::int64_t{1} << 32,
+                  "bad csr header in " + path);
+  MGGCN_CHECK_MSG(
+      static_cast<std::uint64_t>(rows) < file_bytes / 8 &&
+          static_cast<std::uint64_t>(nnz) < file_bytes / 8 &&
+          kHeaderBytes + 8 * (static_cast<std::uint64_t>(rows) + 1) +
+                  8 * static_cast<std::uint64_t>(nnz) ==
+              file_bytes,
+      "csr header sizes do not match the file length of " + path);
+
   auto row_ptr =
-      read_vec<std::int64_t>(is, static_cast<std::size_t>(rows) + 1);
-  auto col_idx = read_vec<std::uint32_t>(is, static_cast<std::size_t>(nnz));
-  auto values = read_vec<float>(is, static_cast<std::size_t>(nnz));
+      read_vec<std::int64_t>(is, static_cast<std::size_t>(rows) + 1, path);
+  auto col_idx =
+      read_vec<std::uint32_t>(is, static_cast<std::size_t>(nnz), path);
+  auto values = read_vec<float>(is, static_cast<std::size_t>(nnz), path);
+
+  MGGCN_CHECK_MSG(row_ptr.front() == 0 && row_ptr.back() == nnz,
+                  "csr row_ptr must run from 0 to nnz in " + path);
+  MGGCN_CHECK_MSG(std::is_sorted(row_ptr.begin(), row_ptr.end()),
+                  "csr row_ptr decreases in " + path);
+  MGGCN_CHECK_MSG(
+      std::all_of(col_idx.begin(), col_idx.end(),
+                  [cols](std::uint32_t c) {
+                    return static_cast<std::int64_t>(c) < cols;
+                  }),
+      "csr column index out of range in " + path);
   return Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
              std::move(values));
 }

@@ -1,6 +1,5 @@
 #include "sparse/spmm.hpp"
 
-#include "sparse/spmm_plan.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::sparse {
@@ -36,7 +35,7 @@ void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
         continue;
       }
       // Initialize the output row from the first nonzero instead of a
-      // separate zeroing pass (bit-identical to the tiled path).
+      // separate zeroing pass (bit-identical to the planned executor).
       const float w = alpha * values[static_cast<std::size_t>(e)];
       const float* src = b.row(col_idx[static_cast<std::size_t>(e)]);
       for (std::int64_t j = 0; j < d; ++j) out[j] = w * src[j];
@@ -55,25 +54,6 @@ void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
 }
 
 }  // namespace naive
-
-// tiled::spmm lives in spmm_tiled.cpp and planned::spmm (the cache-backed
-// inspector-executor wrapper) in spmm_plan.cpp / spmm_planned.cpp.
-
-namespace {
-
-using SpmmFn = void (*)(const Csr&, dense::ConstMatrixView, dense::MatrixView,
-                        float, float);
-
-/// Indexed by dense::KernelPolicy.
-constexpr SpmmFn kSpmmTable[util::mode_count<dense::KernelPolicy>()] = {
-    &naive::spmm, &tiled::spmm, &planned::spmm};
-
-}  // namespace
-
-void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
-          float alpha, float beta) {
-  kSpmmTable[static_cast<int>(dense::kernel_policy())](a, b, c, alpha, beta);
-}
 
 sim::KernelCost spmm_cost(std::int64_t nnz, std::int64_t out_rows,
                           std::int64_t src_rows, std::int64_t d) {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "sparse/spmm.hpp"
 #include "util/error.hpp"
 
 namespace mggcn::sparse {
@@ -131,10 +132,10 @@ std::span<const std::uint32_t> SpmmPlan::bin_rows(int bin) const {
 
 namespace {
 
-/// Process-wide plan cache behind the dispatched `planned` policy. Keyed
-/// by the column-index allocation (unique per live nonempty CSR); entries
-/// are validated with SpmmPlan::matches() before reuse, so a recycled
-/// allocation rebuilds instead of executing a stale plan.
+/// Process-wide plan cache behind sparse::spmm. Keyed by the column-index
+/// allocation (unique per live nonempty CSR); entries are validated with
+/// SpmmPlan::matches() before reuse, so a recycled allocation rebuilds
+/// instead of executing a stale plan.
 struct PlanCache {
   std::mutex mutex;
   std::unordered_map<const void*, std::shared_ptr<const SpmmPlan>> map;
@@ -177,15 +178,10 @@ std::shared_ptr<const SpmmPlan> cached_plan(const Csr& a) {
 
 }  // namespace
 
-namespace planned {
-
 void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
           float alpha, float beta) {
-  const std::shared_ptr<const SpmmPlan> plan = cached_plan(a);
-  plan->execute(a, b, c, alpha, beta);
+  cached_plan(a)->execute(a, b, c, alpha, beta);
 }
-
-}  // namespace planned
 
 SpmmPlanCacheStats spmm_plan_cache_stats() {
   PlanCache& cache = plan_cache();

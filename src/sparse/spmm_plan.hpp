@@ -1,4 +1,4 @@
-// Inspector–executor SpMM (the `planned` kernel policy).
+// Inspector–executor SpMM: the host SpMM behind sparse::spmm.
 //
 // The adjacency tiles are static for an entire training run, yet the
 // generic kernels re-derive each row's shape from raw CSR on every one of
@@ -21,17 +21,18 @@
 // Numerical contract: every executor sub-kernel performs the same IEEE
 // operation sequence per output element as `naive::spmm` (first-nonzero
 // beta fusion, edges accumulated one at a time in CSR order), so the
-// planned policy is bit-identical to the naive and tiled policies at
-// beta == 0 — the plan only reorders *rows*, never the per-element math.
+// executor is bit-identical to `naive::spmm` — the plan only reorders
+// *rows*, never the per-element math.
 //
 // Amortization surfaces:
 //   - `core::TileGrid` lazily owns one plan per tile; `core::DistSpmm`
 //     executes through them and charges a one-time `sim::TaskKind::kInspect`
 //     task per tile so simulated timelines show the preprocessing honestly.
-//   - The dispatched `sparse::spmm` entry point under the `planned` policy
-//     consults a process-wide structure-keyed plan cache, so serial users
-//     (reference trainer, GAT, minibatch baselines) amortize across calls
-//     without holding a plan themselves.
+//   - The `sparse::spmm` entry point consults a process-wide
+//     structure-keyed plan cache, so serial users (reference trainer, GAT,
+//     planner replicas) amortize across calls without holding a plan
+//     themselves. Operands used once (sampled blocks) inspect and execute
+//     directly instead, so they never fill the cache.
 #pragma once
 
 #include <array>
@@ -180,16 +181,9 @@ class SpmmPlan {
       std::span<const std::int64_t> row_ptr);
 };
 
-/// The `planned` policy backend registered in the sparse::spmm dispatch
-/// table: looks `a` up in a process-wide plan cache (building on miss) and
-/// executes through the cached plan. Callers that own their matrices for
-/// many calls (TileGrid) hold plans directly and skip the cache.
-namespace planned {
-void spmm(const Csr& a, dense::ConstMatrixView b, dense::MatrixView c,
-          float alpha, float beta);
-}  // namespace planned
-
-/// Cache bookkeeping, exposed for tests and benches.
+/// Bookkeeping of the plan cache behind sparse::spmm, exposed for tests
+/// and benches. Callers that own their matrices for many calls (TileGrid)
+/// hold plans directly and skip the cache.
 struct SpmmPlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -1,17 +1,17 @@
-// SpmmPlan executor (the hot half of the `planned` kernel policy). Kept in
-// its own translation unit so it can be compiled at -O3 with the kernel ISA
-// flags (see CMakeLists.txt) while the inspector TU keeps default flags.
+// SpmmPlan executor (the hot half of sparse::spmm). Kept in its own
+// translation unit so it can be compiled at -O3 with the kernel ISA flags
+// (see CMakeLists.txt) while the inspector TU keeps default flags.
 //
 // Every path preserves the naive reference's per-element IEEE operation
-// sequence (first-nonzero beta fusion, edges accumulated one at a time in
-// CSR order), so the planned policy stays bit-identical to naive and tiled
-// at beta == 0. The speedup comes from *row* scheduling only: the plan
-// elides empty rows into one bulk zero/scale pass, and the executor makes a
-// single sweep over the remaining rows in natural order — the beta mode is
-// hoisted out of the loops as a template parameter, the prefetch stream
-// runs ahead across row boundaries instead of re-deriving each row's shape,
-// and hub rows (degree >= SpmmPlan::kLongDegree) switch to a deep-prefetch
-// inner loop that pulls whole B rows ahead of the gather.
+// sequence (first-nonzero beta fusion, edges accumulated one at a time in CSR
+// order), so the executor stays bit-identical to naive::spmm. The speedup comes
+// from *row* scheduling only: the plan elides empty rows into one bulk
+// zero/scale pass, and the executor makes a single sweep over the remaining
+// rows in natural order — the beta mode is hoisted out of the loops as a
+// template parameter, the prefetch stream runs ahead across row boundaries
+// instead of re-deriving each row's shape, and hub rows (degree >=
+// SpmmPlan::kLongDegree) switch to a deep-prefetch inner loop that pulls whole
+// B rows ahead of the gather.
 //
 // Natural order is deliberate: executing the plan bin by bin (one sweep per
 // degree class) was measured consistently slower on both uniform and skewed
@@ -29,12 +29,11 @@ namespace mggcn::sparse {
 
 namespace {
 
-/// Column-panel width, matching the tiled policy: the C-row slice and the
-/// in-flight gathered B slices stay L1-resident per pass.
+/// Column-panel width: the C-row slice and the in-flight gathered B slices
+/// stay L1-resident per pass.
 constexpr std::int64_t kPanelD = 512;
 
-/// Edge batch of the sweep loop (independent gather streams per element),
-/// matching the tiled policy's batch width.
+/// Edge batch of the sweep loop (independent gather streams per element).
 constexpr std::int64_t kEdgeBatch = 4;
 
 /// How many edges ahead of the accumulation the prefetch stream runs.

@@ -1,7 +1,7 @@
 // Shared environment-knob parsing for the MGGCN_* knobs.
 //
-// Every knob (MGGCN_KERNELS, MGGCN_PLAN, MGGCN_PART, MGGCN_COMM,
-// MGGCN_CACHE_CAP, MGGCN_SERVE_BATCH, ...) follows the same contract: an
+// Every knob (MGGCN_PLAN, MGGCN_PART, MGGCN_COMM, MGGCN_CACHE_CAP,
+// MGGCN_SERVE_BATCH, ...) follows the same contract: an
 // unset/empty value means "use the default", and anything unparsable fails
 // loudly with a message naming the knob — experiment-script typos must
 // never silently change the configuration under study. These helpers

@@ -1,11 +1,11 @@
 // Mode tables: the one place each configuration enum's names live.
 //
-// Every switch of the system (kernel policy, exchange path, distribution
-// strategy, partitioner, feature cache, serving cache, workspace pool,
-// batch policy) is an enum whose values need stable lower-case names for
-// logs, CLI flags, JSON and environment knobs. Instead of a hand-written
-// name switch, parse chain and token list per enum, each enum specialises
-// ModeTable beside its declaration:
+// Every switch of the system (exchange path, distribution strategy,
+// partitioner, feature cache, serving cache, workspace pool, batch policy)
+// is an enum whose values need stable lower-case names for logs, CLI flags,
+// JSON and environment knobs. Instead of a hand-written name switch, parse
+// chain and token list per enum, each enum specialises ModeTable beside its
+// declaration:
 //
 //   template <>
 //   struct util::ModeTable<core::PlanMode> {

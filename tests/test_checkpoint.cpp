@@ -5,6 +5,8 @@
 #include <fstream>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
@@ -65,13 +67,50 @@ TEST(Checkpoint, FileRoundTrip) {
   }
 }
 
+/// Writes a one-layer checkpoint header claiming a rows x cols layer,
+/// followed by `floats` zero floats of payload.
+void write_raw_checkpoint(const std::string& path, std::int64_t rows,
+                          std::int64_t cols, std::size_t floats) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write("MGCKPT1\0", 8);
+  const std::uint32_t version = 1, layers = 1;
+  const std::int32_t adam_step = 3;
+  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  os.write(reinterpret_cast<const char*>(&adam_step), sizeof(adam_step));
+  os.write(reinterpret_cast<const char*>(&layers), sizeof(layers));
+  os.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  os.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  const std::vector<float> payload(floats, 0.0f);
+  os.write(reinterpret_cast<const char*>(payload.data()),
+           static_cast<std::streamsize>(payload.size() * sizeof(float)));
+}
+
 TEST(Checkpoint, RejectsCorruptFile) {
   const std::string path = temp_path("mggcn_test_ckpt_bad.bin");
+  // Each file must be refused with a check error naming it — never sized
+  // into a huge allocation.
+  auto expect_rejected = [&](const std::string& what) {
+    try {
+      (void)load_checkpoint(path);
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
   {
     std::ofstream os(path, std::ios::binary);
     os << "garbage";
   }
-  EXPECT_THROW(load_checkpoint(path), Error);
+  expect_rejected("bad magic");
+  write_raw_checkpoint(path, std::int64_t{1} << 40, std::int64_t{1} << 40, 0);
+  expect_rejected("2^40 x 2^40 layer");
+  write_raw_checkpoint(path, 4, 4, 3 * 16 - 1);
+  expect_rejected("payload one float short");
+  write_raw_checkpoint(path, 4, 0, 0);
+  expect_rejected("zero-column layer");
+  write_raw_checkpoint(path, 4, 4, 3 * 16);
+  EXPECT_EQ(load_checkpoint(path).num_layers(), 1u);  // well-formed twin
   std::remove(path.c_str());
 }
 

@@ -267,10 +267,9 @@ TEST(DistSpmm, CompactMatchesDenseBitwise) {
 TEST(DistSpmm, AutoIsNeverSlowerThanDense) {
   // The auto-selector prices both paths with the same model the simulator
   // charges, so its steady-state simulated time can match but never exceed
-  // the all-dense schedule. The first product is warm-up: auto resolves
-  // SpmmPlans for the ghost sets (a one-time inspector prologue that the
-  // dense path skips under the naive kernel policy), and training amortizes
-  // that over every later product.
+  // the all-dense schedule. The first product is warm-up: it resolves the
+  // SpmmPlans (a one-time inspector prologue), and training amortizes that
+  // over every later product.
   const std::int64_t n = 4096, d = 64;
   double dense_time = 0.0, auto_time = 0.0;
   for (const comm::CommMode mode :

@@ -1,7 +1,7 @@
 // Tests for the pipelined distributed mini-batch engine: bit-identical
 // numerics across pipeline on/off, cache modes, and fuzzed schedules;
-// hazard-clean overlapped execution; cache/pipeline counters; and the
-// persistent-memory accounting.
+// hazard-clean overlapped execution; cache/pipeline counters; the
+// persistent-memory accounting; and no SpMM plan-cache growth per epoch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,6 +11,7 @@
 #include "core/sampled_pipeline.hpp"
 #include "graph/datasets.hpp"
 #include "sim/machine.hpp"
+#include "sparse/spmm_plan.hpp"
 
 namespace mggcn::core {
 namespace {
@@ -238,6 +239,20 @@ TEST(SampledPipeline, AccountMemoryChargesCacheIndependentOfDepth) {
   SampledPipeline pc(mc, ds, off);
   EXPECT_EQ(pc.account_memory().cache_bytes, 0u);
   EXPECT_EQ(pc.cache(0).stats().hits, 0u);
+}
+
+TEST(SampledPipeline, EpochLeavesSpmmPlanCacheUntouched) {
+  // Each round's sampled blocks are multiplied once, so their SpMMs must
+  // not leave plans behind in sparse::spmm's process-wide cache.
+  const graph::Dataset ds = sampled_dataset();
+  sim::Machine machine(sim::dgx_v100(), 4, sim::ExecutionMode::kReal);
+  SampledPipeline pipeline(machine, ds, small_options());
+  const sparse::SpmmPlanCacheStats before = sparse::spmm_plan_cache_stats();
+  pipeline.train_epoch();
+  machine.synchronize();
+  const sparse::SpmmPlanCacheStats after = sparse::spmm_plan_cache_stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(SampledPipeline, RejectsMismatchedFanout) {

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "dense/kernels.hpp"
 #include "graph/generators.hpp"
@@ -265,15 +267,60 @@ TEST(Io, CsrRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Writes a CSR file field by field, so a test can craft headers and arrays
+/// that write_csr would never produce.
+void write_raw_csr(const std::string& path, std::int64_t rows,
+                   std::int64_t cols, std::int64_t nnz,
+                   const std::vector<std::int64_t>& row_ptr,
+                   const std::vector<std::uint32_t>& col_idx) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write("MGCSR1\0\0", 8);
+  for (const std::int64_t field : {rows, cols, nnz}) {
+    os.write(reinterpret_cast<const char*>(&field), sizeof(field));
+  }
+  os.write(reinterpret_cast<const char*>(row_ptr.data()),
+           static_cast<std::streamsize>(row_ptr.size() * sizeof(std::int64_t)));
+  os.write(reinterpret_cast<const char*>(col_idx.data()),
+           static_cast<std::streamsize>(col_idx.size() * sizeof(std::uint32_t)));
+  const std::vector<float> values(col_idx.size(), 1.0f);
+  os.write(reinterpret_cast<const char*>(values.data()),
+           static_cast<std::streamsize>(values.size() * sizeof(float)));
+}
+
 TEST(Io, RejectsCorruptFile) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mggcn_test_bad.csr")
           .string();
+  // Each file must be refused with a check error naming it — never read
+  // into a Csr, and never sized into a huge allocation.
+  auto expect_rejected = [&](const std::string& what) {
+    try {
+      (void)read_csr(path);
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
   {
     std::ofstream os(path, std::ios::binary);
     os << "not a csr file";
   }
-  EXPECT_THROW(read_csr(path), Error);
+  expect_rejected("bad magic");
+  write_raw_csr(path, 2, 2, 2, {0, 1, 2}, {0, 4'000'000'000u});
+  expect_rejected("column index past cols");
+  write_raw_csr(path, 2, 2, 2, {0, 5, 2}, {0, 1});
+  expect_rejected("decreasing row_ptr");
+  write_raw_csr(path, 2, 2, 2, {0, 1, 1}, {0, 1});
+  expect_rejected("row_ptr not ending at nnz");
+  write_raw_csr(path, std::int64_t{1} << 40, 2, 0, {0}, {});
+  expect_rejected("2^40-row header");
+  write_raw_csr(path, 2, 2, 3, {0, 1, 2}, {0, 1});
+  expect_rejected("nnz larger than the arrays");
+  write_raw_csr(path, 2, 2, -1, {0, 0, 0}, {});
+  expect_rejected("negative nnz");
+  write_raw_csr(path, 2, 2, 2, {0, 1, 2}, {0, 1});
+  EXPECT_EQ(read_csr(path).nnz(), 2);  // the well-formed twin loads
   std::remove(path.c_str());
 }
 

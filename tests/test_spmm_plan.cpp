@@ -1,11 +1,13 @@
 // Inspector-executor SpMM: bin assignment, the inspector on degenerate
 // inputs (all-empty tiles, duplicate-summed COO, d == 1), the bit-for-bit
 // beta == 0 agreement with naive::spmm across every degree bin, plan
-// invalidation via matches(), and the process-wide plan cache behind the
-// dispatched planned policy.
+// invalidation via matches(), and the process-wide plan cache behind
+// sparse::spmm.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sparse/spmm.hpp"
@@ -41,6 +43,31 @@ sparse::Csr csr_with_degrees(const std::vector<std::int64_t>& degrees,
   }
   return {static_cast<std::int64_t>(degrees.size()), cols, std::move(row_ptr),
           std::move(col_idx), std::move(values)};
+}
+
+/// CSR with forced empty rows, one dense (high-degree) row, and otherwise
+/// random structure.
+sparse::Csr ragged_csr(std::int64_t rows, std::int64_t cols, double density,
+                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::int64_t> row_ptr{0};
+  std::vector<std::uint32_t> col_idx;
+  std::vector<float> values;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const bool force_empty = r % 5 == 2 || r == rows - 1;
+    const bool force_dense = r == rows / 2;
+    if (!force_empty) {
+      for (std::int64_t c = 0; c < cols; ++c) {
+        if (force_dense || rng.bernoulli(density)) {
+          col_idx.push_back(static_cast<std::uint32_t>(c));
+          values.push_back(static_cast<float>(rng.gaussian()));
+        }
+      }
+    }
+    row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
+  }
+  return {rows, cols, std::move(row_ptr), std::move(col_idx),
+          std::move(values)};
 }
 
 void expect_bitwise_equal(const dense::HostMatrix& a,
@@ -157,7 +184,8 @@ TEST(SpmmPlan, DuplicateSummedCooRoundTrip) {
 }
 
 TEST(SpmmPlan, BitIdenticalToNaiveAtBetaZeroAcrossBins) {
-  // Degrees spanning every bin, including boundary degrees; d == 1 is the
+  // Degrees spanning every bin, including boundary degrees, plus a ragged
+  // matrix with forced empty rows and one dense row; d == 1 is the
   // degenerate feature width (single-column panels), the others exercise
   // panel tails and multi-panel loops.
   std::vector<std::int64_t> degrees;
@@ -166,35 +194,58 @@ TEST(SpmmPlan, BitIdenticalToNaiveAtBetaZeroAcrossBins) {
     degrees.push_back(deg);
     degrees.push_back(deg);  // at least two rows per bin: block paths run
   }
-  const sparse::Csr a = csr_with_degrees(degrees, 100, 25);
-  for (const std::int64_t d : {std::int64_t{1}, std::int64_t{17},
-                               std::int64_t{512}, std::int64_t{513}}) {
-    const dense::HostMatrix b = random_matrix(100, d, 26 + d);
-    const sparse::SpmmPlan plan = sparse::SpmmPlan::inspect(a);
-    for (const float alpha : {1.0f, 0.5f}) {
-      dense::HostMatrix c_naive(a.rows(), d), c_plan(a.rows(), d);
-      c_naive.fill(7.0f);  // stale contents beta == 0 must ignore
-      c_plan.fill(-3.0f);
-      sparse::naive::spmm(a, b.view(), c_naive.view(), alpha, 0.0f);
-      plan.execute(a, b.view(), c_plan.view(), alpha, 0.0f);
-      expect_bitwise_equal(c_naive, c_plan,
-                           "d=" + std::to_string(d) +
-                               " alpha=" + std::to_string(alpha));
+  for (const sparse::Csr& a : {csr_with_degrees(degrees, 100, 25),
+                               ragged_csr(50, 41, 0.3, 16)}) {
+    for (const std::int64_t d :
+         {std::int64_t{1}, std::int64_t{17}, std::int64_t{33},
+          std::int64_t{130}, std::int64_t{257}, std::int64_t{512},
+          std::int64_t{513}}) {
+      const dense::HostMatrix b = random_matrix(a.cols(), d, 26 + d);
+      const sparse::SpmmPlan plan = sparse::SpmmPlan::inspect(a);
+      for (const float alpha : {1.0f, 0.5f}) {
+        dense::HostMatrix c_naive(a.rows(), d), c_plan(a.rows(), d);
+        c_naive.fill(7.0f);  // stale contents beta == 0 must ignore
+        c_plan.fill(-3.0f);
+        sparse::naive::spmm(a, b.view(), c_naive.view(), alpha, 0.0f);
+        plan.execute(a, b.view(), c_plan.view(), alpha, 0.0f);
+        expect_bitwise_equal(c_naive, c_plan,
+                             "rows=" + std::to_string(a.rows()) +
+                                 " d=" + std::to_string(d) +
+                                 " alpha=" + std::to_string(alpha));
+      }
     }
   }
 }
 
 TEST(SpmmPlan, NonzeroBetaMatchesNaive) {
-  const sparse::Csr a = csr_with_degrees({0, 1, 3, 8, 40, 256, 2, 0}, 64, 27);
-  const dense::HostMatrix b = random_matrix(64, 33, 28);
-  const dense::HostMatrix c0 = random_matrix(8, 33, 29);
-  const sparse::SpmmPlan plan = sparse::SpmmPlan::inspect(a);
-  for (const float beta : {1.0f, 0.5f}) {
-    dense::HostMatrix c_naive = c0;
-    dense::HostMatrix c_plan = c0;
-    sparse::naive::spmm(a, b.view(), c_naive.view(), 1.0f, beta);
-    plan.execute(a, b.view(), c_plan.view(), 1.0f, beta);
-    expect_bitwise_equal(c_naive, c_plan, "beta=" + std::to_string(beta));
+  // One matrix spanning the degree bins, plus ragged shapes (single
+  // elements, feature widths straddling the 512-wide column panel) with
+  // forced empty rows and one dense row.
+  std::vector<std::pair<sparse::Csr, std::int64_t>> cases;
+  cases.emplace_back(csr_with_degrees({0, 1, 3, 8, 40, 256, 2, 0}, 64, 27),
+                     33);
+  for (const auto& [rows, cols, d] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {1, 1, 1}, {9, 7, 5}, {40, 31, 33}, {64, 64, 130}, {33, 50, 257}}) {
+    cases.emplace_back(ragged_csr(rows, cols, 0.2, 13), d);
+  }
+  for (const auto& [a, d] : cases) {
+    const dense::HostMatrix b = random_matrix(a.cols(), d, 28);
+    const dense::HostMatrix c0 = random_matrix(a.rows(), d, 29);
+    const sparse::SpmmPlan plan = sparse::SpmmPlan::inspect(a);
+    for (const float alpha : {1.0f, 0.0f, 0.5f}) {
+      for (const float beta : {1.0f, 0.5f}) {
+        dense::HostMatrix c_naive = c0;
+        dense::HostMatrix c_plan = c0;
+        sparse::naive::spmm(a, b.view(), c_naive.view(), alpha, beta);
+        plan.execute(a, b.view(), c_plan.view(), alpha, beta);
+        expect_bitwise_equal(c_naive, c_plan,
+                             "rows=" + std::to_string(a.rows()) +
+                                 " d=" + std::to_string(d) +
+                                 " alpha=" + std::to_string(alpha) +
+                                 " beta=" + std::to_string(beta));
+      }
+    }
   }
 }
 
@@ -222,7 +273,7 @@ TEST(SpmmPlan, ValueMutationKeepsPlanValidStructureChangeDoesNot) {
                InvalidArgumentError);
 }
 
-TEST(SpmmPlan, DispatchedPlannedPolicyUsesCache) {
+TEST(SpmmPlan, SpmmEntryPointUsesPlanCache) {
   sparse::clear_spmm_plan_cache();
   const sparse::Csr a = csr_with_degrees({1, 4, 0, 12, 300}, 40, 33);
   const dense::HostMatrix b = random_matrix(40, 16, 34);
@@ -230,11 +281,11 @@ TEST(SpmmPlan, DispatchedPlannedPolicyUsesCache) {
 
   sparse::naive::spmm(a, b.view(), c_naive.view(), 1.0f, 0.0f);
   const auto before = sparse::spmm_plan_cache_stats();
-  sparse::planned::spmm(a, b.view(), c_plan.view(), 1.0f, 0.0f);
-  sparse::planned::spmm(a, b.view(), c_plan.view(), 1.0f, 0.0f);
+  sparse::spmm(a, b.view(), c_plan.view());
+  sparse::spmm(a, b.view(), c_plan.view());
   const auto after = sparse::spmm_plan_cache_stats();
 
-  expect_bitwise_equal(c_naive, c_plan, "dispatched planned policy");
+  expect_bitwise_equal(c_naive, c_plan, "cached plan");
   EXPECT_EQ(after.misses, before.misses + 1);  // built exactly once
   EXPECT_EQ(after.hits, before.hits + 1);      // second call reused it
   EXPECT_GE(after.entries, 1u);

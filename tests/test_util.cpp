@@ -15,7 +15,6 @@
 #include "core/part_mode.hpp"
 #include "core/plan_mode.hpp"
 #include "core/serve_mode.hpp"
-#include "dense/kernel_policy.hpp"
 #include "mem/pool_mode.hpp"
 #include "util/blocking_queue.hpp"
 #include "util/cli.hpp"
@@ -354,10 +353,9 @@ void expect_mode_tables_contract() {
 }
 
 TEST(ModeTable, EveryTableRoundTripsAndEnvTyposNameTheirTokens) {
-  expect_mode_tables_contract<dense::KernelPolicy, comm::CommMode,
-                              core::PlanMode, core::PartMode, core::CacheMode,
-                              core::ServeCacheMode, mem::PoolMode,
-                              core::BatchPolicy>();
+  expect_mode_tables_contract<comm::CommMode, core::PlanMode, core::PartMode,
+                              core::CacheMode, core::ServeCacheMode,
+                              mem::PoolMode, core::BatchPolicy>();
   EXPECT_EQ(mode_tokens<comm::CommMode>(), "'dense', 'compact', or 'auto'");
 }
 
